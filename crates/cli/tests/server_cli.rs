@@ -510,3 +510,45 @@ fn client_retries_through_injected_connection_drops() {
         "{server_stderr}"
     );
 }
+
+/// End to end through `facile client`: one `--batch --chunk N` request
+/// of 10x the blocks may cost at most 15x the time. Each run streams
+/// distinct `b8%08x` blocks to a fresh daemon, so every run is equally
+/// cold; the min of several runs absorbs scheduler noise.
+#[test]
+fn client_batch_time_scales_linearly() {
+    let socket = temp_path("scaling.sock");
+    let input_file = temp_path("scaling.blocks");
+    let sock = socket.to_str().expect("utf8 path");
+    let file = input_file.to_str().expect("utf8 path");
+    let min_time = |n: u32| {
+        let input: String = (0..n).map(|i| format!("b8{i:08x}\n")).collect();
+        std::fs::write(&input_file, &input).expect("input file writes");
+        let chunk = n.to_string();
+        (0..3)
+            .map(|_| {
+                let server = spawn_server(&socket, &[]);
+                let t = std::time::Instant::now();
+                let out = run_facile(
+                    &[
+                        "client", "--socket", sock, "--batch", file, "--chunk", &chunk,
+                    ],
+                    "",
+                );
+                let dt = t.elapsed();
+                terminate(server);
+                assert_eq!(out.lines().count(), n as usize, "one row per block");
+                dt
+            })
+            .min()
+            .expect("several runs")
+    };
+    let t1 = min_time(1_000);
+    let t10 = min_time(10_000);
+    std::fs::remove_file(&input_file).ok();
+    assert!(
+        t10 <= t1 * 15,
+        "10x blocks took {:.1}x the time ({t1:?} -> {t10:?})",
+        t10.as_secs_f64() / t1.as_secs_f64()
+    );
+}

@@ -121,6 +121,7 @@ impl std::error::Error for ParseError {}
 /// A [`ParseError`] locating the first malformed byte.
 pub fn parse(src: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
+        src,
         bytes: src.as_bytes(),
         pos: 0,
     };
@@ -134,6 +135,7 @@ pub fn parse(src: &str) -> Result<Value, ParseError> {
 }
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -292,6 +294,16 @@ impl Parser<'_> {
         self.expect(b'"', "expected '\"'")?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote, backslash, or control
+            // byte as one slice. The stop bytes are ASCII, so the run
+            // ends on a char boundary; scanning it once keeps the whole
+            // string linear in its length.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .map_or(self.bytes.len(), |n| self.pos + n);
+            out.push_str(&self.src[self.pos..run]);
+            self.pos = run;
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -341,16 +353,7 @@ impl Parser<'_> {
                     }
                     self.pos += 1;
                 }
-                Some(b) if b < 0x20 => return Err(self.err("control character in string")),
-                Some(_) => {
-                    // Copy one UTF-8 character (the input is a &str, so
-                    // boundaries are valid).
-                    let s = std::str::from_utf8(&self.bytes[self.pos..])
-                        .expect("input came from a &str");
-                    let c = s.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                Some(_) => return Err(self.err("control character in string")),
             }
         }
     }
@@ -416,5 +419,48 @@ mod tests {
         }
         let deep = "[".repeat(100) + &"]".repeat(100);
         assert!(parse(&deep).is_err());
+    }
+
+    /// A reply-shaped line of `rows` string-heavy rows (long unescaped
+    /// runs, multi-byte characters, and a few escapes).
+    fn string_heavy_line(rows: usize) -> String {
+        let mut line = String::from(r#"{"ok":true,"rows":["#);
+        for i in 0..rows {
+            if i > 0 {
+                line.push(',');
+            }
+            line.push_str(&format!(
+                r#"{{"block":"b8{i:08x}","uarch":"SKL","note":"bottleneck: précédence \"loop\" ✓ {}\n"}}"#,
+                "x".repeat(100)
+            ));
+        }
+        line.push_str("]}");
+        line
+    }
+
+    /// Parsing is linear: 10x the input may cost at most 15x the time
+    /// (min of several runs, so a scheduler hiccup cannot fail it).
+    #[test]
+    fn string_parse_time_scales_linearly() {
+        let min_time = |line: &str| {
+            (0..7)
+                .map(|_| {
+                    let t = std::time::Instant::now();
+                    let v = parse(line).expect("parses");
+                    let dt = t.elapsed();
+                    assert!(v.get("rows").is_some());
+                    dt
+                })
+                .min()
+                .expect("several runs")
+        };
+        let small = string_heavy_line(64);
+        let large = string_heavy_line(640);
+        let (t1, t10) = (min_time(&small), min_time(&large));
+        assert!(
+            t10 <= t1 * 15,
+            "10x input took {:.1}x the time ({t1:?} -> {t10:?})",
+            t10.as_secs_f64() / t1.as_secs_f64()
+        );
     }
 }

@@ -388,6 +388,48 @@ impl Listener {
             Listener::Tcp(l) => l.set_nonblocking(nb),
         }
     }
+
+    /// Wait up to `timeout` for a connection to accept (`false` on
+    /// timeout or signal interruption).
+    #[cfg(unix)]
+    fn wait_acceptable(&self, timeout: Duration) -> bool {
+        use std::os::unix::io::AsRawFd;
+        let fd = match self {
+            Listener::Unix(l) => l.as_raw_fd(),
+            Listener::Tcp(l) => l.as_raw_fd(),
+        };
+        poll_readable(fd, timeout)
+    }
+}
+
+/// `poll(2)` on one descriptor for `POLLIN` (std-only: libc is already
+/// linked, so the call is declared directly, as [`sig`] does for
+/// `signal(2)`).
+#[cfg(unix)]
+fn poll_readable(fd: std::os::unix::io::RawFd, timeout: Duration) -> bool {
+    #[repr(C)]
+    struct PollFd {
+        fd: i32,
+        events: i16,
+        revents: i16,
+    }
+    const POLLIN: i16 = 0x1;
+    #[cfg(any(target_os = "linux", target_os = "android"))]
+    type Nfds = std::ffi::c_ulong;
+    #[cfg(not(any(target_os = "linux", target_os = "android")))]
+    type Nfds = std::ffi::c_uint;
+    extern "C" {
+        fn poll(fds: *mut PollFd, nfds: Nfds, timeout_ms: i32) -> i32;
+    }
+    let mut pfd = PollFd {
+        fd,
+        events: POLLIN,
+        revents: 0,
+    };
+    let ms = i32::try_from(timeout.as_millis()).unwrap_or(i32::MAX);
+    // SAFETY: `pfd` is one valid, exclusively borrowed pollfd and nfds
+    // is 1; `fd` stays open because the listener outlives this call.
+    unsafe { poll(&mut pfd, 1, ms) > 0 }
 }
 
 impl Stream {
@@ -527,6 +569,8 @@ impl Server {
                 (Listener::Tcp(l), BoundAddr::Tcp(local))
             }
         };
+        // Non-blocking, so an accept whose connection vanished after the
+        // wake-up returns instead of hanging the acceptor past a drain.
         listener.set_nonblocking(true)?;
 
         let shared = Arc::new(Shared {
@@ -640,12 +684,25 @@ impl Server {
     }
 }
 
+/// How long the acceptor waits for a connection before re-checking
+/// for a drain.
+#[cfg(unix)]
+const ACCEPT_WAIT: Duration = Duration::from_millis(100);
+
+/// Accept connections until a drain starts. On Unix the acceptor
+/// sleeps in `poll(2)` on the listener, so a connection is picked up as
+/// soon as it arrives and a drain is noticed within [`ACCEPT_WAIT`].
+/// Elsewhere it falls back to polling the non-blocking listener.
 fn acceptor_loop(
     listener: &Listener,
     shared: &Arc<Shared>,
     conns: &Arc<PoisonlessMutex<Vec<std::thread::JoinHandle<()>>>>,
 ) {
     while !shared.draining() {
+        #[cfg(unix)]
+        if !listener.wait_acceptable(ACCEPT_WAIT) {
+            continue;
+        }
         match listener.accept() {
             Ok(stream) => {
                 shared.counters.connections.fetch_add(1, Ordering::Relaxed);
@@ -657,9 +714,14 @@ fn acceptor_loop(
                     conns.lock().push(h);
                 }
             }
+            // On Unix: the pending connection went away between the
+            // wake-up and the accept; wait again.
             Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                #[cfg(not(unix))]
                 std::thread::sleep(Duration::from_millis(20));
             }
+            // Anything else (e.g. out of descriptors) leaves the listener
+            // readable; back off rather than spin.
             Err(_) => std::thread::sleep(Duration::from_millis(20)),
         }
     }
@@ -700,19 +762,26 @@ impl ConnState {
 /// Read NDJSON lines off one connection and serve them in order.
 fn connection_loop(stream: Stream, shared: &Arc<Shared>) {
     let mut conn = ConnState::new(shared.cfg.conn_rps);
-    // The accepted stream inherits the listener's non-blocking flag;
-    // switch to blocking reads with a timeout so the thread can notice
-    // a drain without a wake-up channel.
+    // The listener is non-blocking, and on BSD-derived systems an
+    // accepted stream inherits that flag; make reads blocking with a
+    // timeout so the thread can notice a drain without a wake-up
+    // channel.
     let _ = stream.set_blocking();
     let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
     let mut stream = stream;
     let mut buf: Vec<u8> = Vec::with_capacity(4096);
     let mut chunk = [0u8; 16 * 1024];
+    // `buf[..scanned]` is known to hold no newline, so each read is
+    // searched once: framing stays linear in the line length.
+    let mut scanned = 0;
     'conn: loop {
         // Serve every complete line currently buffered.
-        while let Some(nl) = buf.iter().position(|&b| b == b'\n') {
-            let line: Vec<u8> = buf.drain(..=nl).collect();
-            let line = String::from_utf8_lossy(&line[..nl]);
+        let mut start = 0;
+        while let Some(off) = buf[scanned..].iter().position(|&b| b == b'\n') {
+            let nl = scanned + off;
+            let line = String::from_utf8_lossy(&buf[start..nl]);
+            start = nl + 1;
+            scanned = start;
             let line = line.trim_end_matches('\r');
             if line.is_empty() {
                 continue;
@@ -746,6 +815,8 @@ fn connection_loop(stream: Stream, shared: &Arc<Shared>) {
                 break 'conn;
             }
         }
+        buf.drain(..start);
+        scanned = buf.len();
         if shared.draining() {
             // Drain: every complete line received so far has been
             // answered; close instead of reading further requests.
