@@ -1,6 +1,6 @@
 //! End-to-end annotation equivalence over generated corpora: the
-//! table-served interned path (`AnnotatedBlock::new`) and the pure
-//! runtime-classifier path (`new_uninterned`) must agree instruction by
+//! table-served path (`AnnotatedBlock::new`) and the pure
+//! runtime-classifier path (`new_reference`) must agree instruction by
 //! instruction — descriptors, effects, and the precomputed kernel
 //! columns — on every microarchitecture, for table hits and fallbacks
 //! alike.
@@ -12,16 +12,16 @@ use proptest::prelude::*;
 
 /// Assert the two annotation paths agree on one block.
 fn assert_paths_agree(block: &facile_x86::Block, u: Uarch) {
-    let interned = AnnotatedBlock::new(block.clone(), u);
-    let reference = AnnotatedBlock::new_uninterned(block.clone(), u);
+    let served = AnnotatedBlock::new(block.clone(), u);
+    let reference = AnnotatedBlock::new_reference(block.clone(), u);
     assert_eq!(
-        interned.insts(),
+        served.insts(),
         reference.insts(),
         "annotation paths diverge on {u} for {}",
         block.to_hex()
     );
     assert_eq!(
-        interned.columns(),
+        served.columns(),
         reference.columns(),
         "kernel columns diverge on {u} for {}",
         block.to_hex()
@@ -33,7 +33,7 @@ proptest! {
 
     /// Stream-generated random blocks: table path == reference path.
     #[test]
-    fn interned_matches_uninterned_on_random_blocks(
+    fn table_path_matches_reference_on_random_blocks(
         seed in 0u64..5000,
         idx in 0usize..6,
         uarch_idx in 0usize..Uarch::ALL.len(),

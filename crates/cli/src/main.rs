@@ -104,11 +104,10 @@ OPTIONS:
                        dependence chain, and port loads (an `explanation`
                        object with --format json/csv, indented text
                        otherwise); composes with --batch
-    --json, --csv      deprecated aliases for --format json / --format csv
     --threads <N>      batch worker threads (default: all cores)
     --stats            report run counters after the run (batch planner
-                       dedup, two-level block cache, descriptor intern
-                       table, per-kernel mean/max timing): a trailing JSON
+                       dedup, two-level block cache, static-table
+                       coverage, per-kernel mean/max timing): a trailing JSON
                        object with --format json, stderr lines otherwise
     --list-predictors  list registered predictor keys
     --list-kernels     list the built-in corpus kernels
@@ -188,14 +187,6 @@ fn parse_args() -> Result<Option<Options>, String> {
                 };
             }
             "--explain" => o.explain = true,
-            "--json" => {
-                eprintln!("note: --json is deprecated; use --format json");
-                o.format = Format::Json;
-            }
-            "--csv" => {
-                eprintln!("note: --csv is deprecated; use --format csv");
-                o.format = Format::Csv;
-            }
             "--threads" => {
                 o.threads = Some(
                     val("--threads")?
@@ -312,12 +303,10 @@ fn emit_stats<W: Write + ?Sized>(
     match format {
         Format::Json => writeln!(out, "{{\"stats\":{}}}", t.to_json()),
         Format::Csv | Format::Human => {
-            let (a, i) = (t.annotation, t.intern);
+            let a = t.annotation;
             eprintln!(
                 "stats: planner {} items / {} deduped; block cache {} decode hits / {} decode \
-                 misses / {} annotate hits / {} annotate misses ({} blocks, {} annotations); \
-                 intern table {} hits / {} misses ({} core hits / {} core misses, {} byte \
-                 entries, {} descriptors)",
+                 misses / {} annotate hits / {} annotate misses ({} blocks, {} annotations)",
                 t.planner.items,
                 t.planner.deduped,
                 a.decode_hits,
@@ -325,13 +314,7 @@ fn emit_stats<W: Write + ?Sized>(
                 a.hits,
                 a.misses,
                 a.blocks,
-                a.entries,
-                i.hits,
-                i.misses,
-                i.core_hits,
-                i.core_misses,
-                i.byte_entries,
-                i.entries
+                a.entries
             );
             let s = t.static_tables;
             eprintln!(

@@ -39,7 +39,7 @@ zznothex
 #[test]
 fn batch_json_golden() {
     let (stdout, stderr, ok) = run_facile(
-        &["--batch", "--predictors", "facile", "--json"],
+        &["--batch", "--predictors", "facile", "--format", "json"],
         BATCH_INPUT,
     );
     assert!(ok, "stderr: {stderr}");
@@ -54,8 +54,10 @@ fn batch_json_golden() {
 
 #[test]
 fn batch_csv_golden() {
-    let (stdout, stderr, ok) =
-        run_facile(&["--batch", "--predictors", "facile", "--csv"], BATCH_INPUT);
+    let (stdout, stderr, ok) = run_facile(
+        &["--batch", "--predictors", "facile", "--format", "csv"],
+        BATCH_INPUT,
+    );
     assert!(ok, "stderr: {stderr}");
     let expected = "\
 block,uarch,mode,predictor,status,throughput,bottleneck,error
@@ -81,7 +83,7 @@ fn batch_output_is_identical_across_thread_counts() {
             input.push_str("deadbeefdeadbeefff\n"); // undecodable
         }
     }
-    let args_base = ["--batch", "--predictors", "facile,sim", "--json"];
+    let args_base = ["--batch", "--predictors", "facile,sim", "--format", "json"];
     let (one, _, ok1) = run_facile(&[&args_base[..], &["--threads", "1"]].concat(), &input);
     let (many, _, ok8) = run_facile(&[&args_base[..], &["--threads", "8"]].concat(), &input);
     assert!(ok1 && ok8);
@@ -103,7 +105,10 @@ fn batch_thousand_blocks_no_panics() {
         input.push('\n');
     }
     input.push_str("zz\n0f0b\n"); // junk: non-hex, then an unsupported opcode (ud2)
-    let (stdout, stderr, ok) = run_facile(&["--batch", "--predictors", "facile", "--json"], &input);
+    let (stdout, stderr, ok) = run_facile(
+        &["--batch", "--predictors", "facile", "--format", "json"],
+        &input,
+    );
     assert!(ok, "stderr: {stderr}");
     assert_eq!(stdout.lines().count(), 1002);
     let errors = stdout
@@ -116,7 +121,10 @@ fn batch_thousand_blocks_no_panics() {
 
 #[test]
 fn unknown_predictor_selector_fails_cleanly() {
-    let (_, stderr, ok) = run_facile(&["--batch", "--predictors", "uica", "--json"], "4801c8\n");
+    let (_, stderr, ok) = run_facile(
+        &["--batch", "--predictors", "uica", "--format", "json"],
+        "4801c8\n",
+    );
     assert!(!ok);
     assert!(stderr.contains("no predictor matches"), "{stderr}");
 }
@@ -127,7 +135,8 @@ fn single_block_json_uses_the_same_row_format() {
         &[
             "--hex",
             "4801c8480fafd0",
-            "--json",
+            "--format",
+            "json",
             "--predictors",
             "facile,sim",
         ],
@@ -139,28 +148,6 @@ fn single_block_json_uses_the_same_row_format() {
 {\"block\":\"4801c8480fafd0\",\"uarch\":\"SKL\",\"mode\":\"tpu\",\"predictor\":\"sim\",\"status\":\"ok\",\"throughput\":3.0000,\"bottleneck\":null}
 ";
     assert_eq!(stdout, expected);
-}
-
-#[test]
-fn format_flag_matches_deprecated_aliases() {
-    // `--format json`/`--format csv` must be byte-identical on stdout to
-    // the deprecated `--json`/`--csv` aliases (which stay supported).
-    for (new_flag, old_flag) in [
-        (&["--format", "json"][..], "--json"),
-        (&["--format", "csv"][..], "--csv"),
-    ] {
-        let (new_out, _, ok_new) = run_facile(
-            &[&["--batch", "--predictors", "facile"], new_flag].concat(),
-            BATCH_INPUT,
-        );
-        let (old_out, old_err, ok_old) = run_facile(
-            &["--batch", "--predictors", "facile", old_flag],
-            BATCH_INPUT,
-        );
-        assert!(ok_new && ok_old);
-        assert_eq!(new_out, old_out);
-        assert!(old_err.contains("deprecated"), "{old_err}");
-    }
 }
 
 #[test]

@@ -109,7 +109,10 @@ fn served_rows_are_byte_identical_to_cli_batch() {
     let file = input_file.to_str().expect("utf8 path");
 
     // JSON rows, default uarch.
-    let direct = run_facile(&["--batch", "--predictors", "facile", "--json"], &input);
+    let direct = run_facile(
+        &["--batch", "--predictors", "facile", "--format", "json"],
+        &input,
+    );
     let served = run_facile(
         &[
             "client", "--socket", sock, "--batch", file, "--format", "json",
@@ -118,13 +121,16 @@ fn served_rows_are_byte_identical_to_cli_batch() {
     );
     assert_eq!(
         served, direct,
-        "served JSON rows diverge from `facile --batch --json`"
+        "served JSON rows diverge from `facile --batch --format json`"
     );
     assert_eq!(direct.lines().count(), 2000, "one row per suite block");
 
     // CSV rows (header included), and a non-default chunk size to prove
     // output is independent of how the client slices requests.
-    let direct = run_facile(&["--batch", "--predictors", "facile", "--csv"], &input);
+    let direct = run_facile(
+        &["--batch", "--predictors", "facile", "--format", "csv"],
+        &input,
+    );
     let served = run_facile(
         &[
             "client", "--socket", sock, "--batch", file, "--format", "csv", "--chunk", "333",
@@ -133,7 +139,7 @@ fn served_rows_are_byte_identical_to_cli_batch() {
     );
     assert_eq!(
         served, direct,
-        "served CSV rows diverge from `facile --batch --csv`"
+        "served CSV rows diverge from `facile --batch --format csv`"
     );
 
     terminate(server);
@@ -165,74 +171,6 @@ fn single_hex_and_stats_round_trip() {
     assert_eq!(pong, "{\"ok\":true,\"pong\":true}\n");
 
     terminate(server);
-}
-
-#[test]
-fn snapshot_persists_across_daemon_restarts() {
-    let socket = temp_path("warm.sock");
-    let snap = temp_path("warm.snap");
-    let input: String = suite_lines()
-        .lines()
-        .take(200)
-        .fold(String::new(), |mut s, l| {
-            s.push_str(l);
-            s.push('\n');
-            s
-        });
-
-    // First life: serve the suite cold, snapshot on SIGTERM.
-    let server = spawn_server(&socket, &["--snapshot", snap.to_str().expect("utf8")]);
-    let sock = socket.to_str().expect("utf8 path");
-    let first = run_facile(
-        &[
-            "client", "--socket", sock, "--batch", "-", "--format", "json",
-        ],
-        &input,
-    );
-    let stderr = terminate(server);
-    assert!(
-        stderr.contains("snapshot: saved"),
-        "no snapshot save on drain: {stderr}"
-    );
-    assert!(snap.exists(), "snapshot file missing");
-
-    // Second life: the daemon reports the warm load, and warm rows are
-    // byte-identical to the cold ones.
-    let server = spawn_server(&socket, &["--snapshot", snap.to_str().expect("utf8")]);
-    let second = run_facile(
-        &[
-            "client", "--socket", sock, "--batch", "-", "--format", "json",
-        ],
-        &input,
-    );
-    assert_eq!(second, first, "warm-from-snapshot rows diverge from cold");
-    let stderr = terminate(server);
-    assert!(
-        stderr.contains("snapshot: loaded"),
-        "no snapshot load on restart: {stderr}"
-    );
-
-    // Third life: a corrupted snapshot degrades to a cold start with
-    // identical rows, not an error.
-    let mut bytes = std::fs::read(&snap).expect("snapshot readable");
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0x40;
-    std::fs::write(&snap, &bytes).expect("snapshot writable");
-    let server = spawn_server(&socket, &["--snapshot", snap.to_str().expect("utf8")]);
-    let third = run_facile(
-        &[
-            "client", "--socket", sock, "--batch", "-", "--format", "json",
-        ],
-        &input,
-    );
-    assert_eq!(third, first, "cold-fallback rows diverge");
-    let stderr = terminate(server);
-    assert!(
-        stderr.contains("snapshot: starting cold"),
-        "corrupt snapshot not reported: {stderr}"
-    );
-
-    std::fs::remove_file(&snap).ok();
 }
 
 /// Run `facile` without asserting success; callers inspect the output.

@@ -7,7 +7,7 @@ use crate::registry::PredictorRegistry;
 use facile_core::timing::KernelTiming;
 use facile_core::Mode;
 use facile_explain::Detail;
-use facile_isa::{AnnotatedBlock, InternStats};
+use facile_isa::AnnotatedBlock;
 use facile_uarch::Uarch;
 use facile_util::PoisonlessMutex;
 use facile_x86::Block;
@@ -191,8 +191,7 @@ pub struct PlannerStats {
 
 /// Aggregate counters of the engine's memoization layers: the batch
 /// planner's dedup stage, the per-engine two-level block cache (decoded
-/// blocks + per-uarch annotations), the process-wide
-/// `(instruction bytes, uarch)` descriptor intern table, and — when
+/// blocks + per-uarch annotations), static-table coverage, and — when
 /// [`Engine::set_kernel_timing`] is on — per-kernel wall-clock timing.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EngineStats {
@@ -200,8 +199,6 @@ pub struct EngineStats {
     pub planner: PlannerStats,
     /// Block-level two-level cache counters (decode + annotate levels).
     pub annotation: CacheStats,
-    /// Instruction-level descriptor intern table counters.
-    pub intern: InternStats,
     /// Generated-table coverage: annotations served from the compile-time
     /// static descriptor tables vs. the runtime-classifier fallback.
     pub static_tables: facile_isa::StaticTableStats,
@@ -225,7 +222,7 @@ impl EngineStats {
     /// cache both drop annotations periodically; hit/miss counters must
     /// keep accumulating across those drops).
     ///
-    /// Lifetime counters (planner, intern table, kernel timing) are
+    /// Lifetime counters (planner, static tables, kernel timing) are
     /// engine- or process-lifetime totals and are *replaced* by the
     /// later snapshot; per-cache-generation counters (annotation
     /// hits/misses) are *summed*; resident-entry counts become
@@ -240,7 +237,6 @@ impl EngineStats {
         self.annotation.blocks = self.annotation.blocks.max(later.annotation.blocks);
         self.annotation.bytes = self.annotation.bytes.max(later.annotation.bytes);
         self.annotation.evictions += later.annotation.evictions;
-        self.intern = later.intern;
         self.static_tables = later.static_tables;
         self.kernels = later.kernels;
     }
@@ -273,8 +269,6 @@ impl EngineStats {
              \"block_cache\":{{\"decode_hits\":{},\"decode_misses\":{},\"annotate_hits\":{},\
              \"annotate_misses\":{},\"blocks\":{},\"annotations\":{},\"bytes\":{},\
              \"evictions\":{}}},\
-             \"intern_table\":{{\"hits\":{},\"misses\":{},\"core_hits\":{},\"core_misses\":{},\
-             \"byte_entries\":{},\"entries\":{},\"bytes\":{},\"evictions\":{}}},\
              \"static_tables\":{{\"hits\":{},\"fallbacks\":{},\"coverage\":{:.4}}},\
              \"kernels\":[{kernels}]}}",
             self.planner.items,
@@ -287,14 +281,6 @@ impl EngineStats {
             self.annotation.entries,
             self.annotation.bytes,
             self.annotation.evictions,
-            self.intern.hits,
-            self.intern.misses,
-            self.intern.core_hits,
-            self.intern.core_misses,
-            self.intern.byte_entries,
-            self.intern.entries,
-            self.intern.bytes,
-            self.intern.evictions,
             self.static_tables.hits,
             self.static_tables.fallbacks,
             self.static_tables.coverage(),
@@ -305,11 +291,10 @@ impl EngineStats {
 /// How a process-wide cache byte budget is split among the memoization
 /// layers, and where its shrink watermarks sit.
 ///
-/// The split reflects per-entry weight: the annotation cache dominates
-/// (whole decoded blocks plus per-uarch annotations, 55%), the intern
-/// table is bounded by distinct instruction encodings (30%), and the
-/// remaining 15% is reserved for auxiliary caches (the external-predictor
-/// result cache, when one is configured). The [`facile_util::GlobalBudget`]
+/// The annotation cache (whole decoded blocks plus per-uarch
+/// annotations) takes 85% and any rounding remainder; the other 15% is
+/// reserved for the external-predictor result cache, when one is
+/// configured. The [`facile_util::GlobalBudget`]
 /// watermarks sit at 90% (high: crossing it triggers a proportional
 /// shrink of every member) and 70% (low: the shrink target) of the
 /// total, so per-cache caps leave headroom before the global shrink
@@ -336,16 +321,10 @@ impl CacheBudget {
     /// Byte cap for the engine's two-level annotation cache.
     #[must_use]
     pub fn annotation_capacity(&self) -> usize {
-        self.total / 100 * 55 + self.total % 100
+        self.total / 100 * 85 + self.total % 100
     }
 
-    /// Byte cap for the process-wide descriptor intern table.
-    #[must_use]
-    pub fn intern_capacity(&self) -> usize {
-        self.total / 100 * 30
-    }
-
-    /// Byte cap reserved for auxiliary caches (external result cache).
+    /// Byte cap reserved for the external-predictor result cache.
     #[must_use]
     pub fn external_capacity(&self) -> usize {
         self.total / 100 * 15
@@ -439,8 +418,8 @@ impl Engine {
     }
 
     /// One consistent snapshot of every engine counter: batch-planner
-    /// dedup, the two-level annotation cache, the process-wide
-    /// descriptor intern table, and (when enabled) per-kernel timing.
+    /// dedup, the two-level annotation cache, static-table coverage,
+    /// and (when enabled) per-kernel timing.
     ///
     /// This is the *only* way counters leave the engine — the CLI's
     /// `--stats` output and the server's `stats` reply both render this
@@ -453,7 +432,6 @@ impl Engine {
                 deduped: self.deduped_items.load(Ordering::Relaxed),
             },
             annotation: self.cache.stats(),
-            intern: facile_isa::intern_stats(),
             static_tables: facile_isa::static_table_stats(),
             kernels: facile_core::timing::snapshot(),
         }
@@ -471,25 +449,22 @@ impl Engine {
         facile_isa::cols::set_pass_timing(enabled);
     }
 
-    /// Drop all cached annotations. (The process-wide intern table is
-    /// left untouched: it is shared with other engines and is bounded by
-    /// the number of distinct instruction encodings, not blocks.)
+    /// Drop all cached annotations.
     pub fn clear_cache(&self) {
         self.cache.clear();
     }
 
-    /// The engine's two-level annotation cache. Exposed so the
-    /// persistent-snapshot layer (`facile-server`) can export resident
-    /// entries on shutdown and re-seed them at startup.
+    /// The engine's two-level annotation cache (to inspect its counters
+    /// or change its byte capacity).
     #[must_use]
     pub fn cache(&self) -> &AnnotationCache {
         &self.cache
     }
 
     /// Bound the engine's caches by `budget`: caps the annotation cache
-    /// and the process-wide intern table at their shares, and registers
-    /// both with a fresh [`facile_util::GlobalBudget`] whose watermarks
-    /// trigger a proportional shrink of every member when the *combined*
+    /// at its share and registers it with a fresh
+    /// [`facile_util::GlobalBudget`] whose watermarks trigger a
+    /// proportional shrink of every member when the *combined*
     /// accounted bytes cross the high mark. Returns the budget handle so
     /// further caches (e.g. an external predictor's result cache) can be
     /// registered against the same pool. `log` turns on the once-per-edge
@@ -503,8 +478,6 @@ impl Engine {
             facile_util::GlobalBudget::new(budget.high_watermark(), budget.low_watermark(), log);
         self.cache.set_capacity(budget.annotation_capacity());
         self.cache.attach_budget(&global);
-        facile_isa::set_intern_capacity(budget.intern_capacity());
-        facile_isa::attach_intern_budget(&global);
         global
     }
 
@@ -529,7 +502,7 @@ impl Engine {
     ///
     /// This routes through the same prepare/dispatch pipeline as
     /// [`Engine::predict_batch`], so single-block calls hit (and warm)
-    /// the same annotation cache and intern table as batch runs.
+    /// the same annotation cache as batch runs.
     ///
     /// # Errors
     /// Unknown key, undecodable/empty block, or a predictor failure.

@@ -1,11 +1,11 @@
 //! Property tests for the zero-allocation prediction pipeline.
 //!
 //! The batch hot path stacks several optimizations on top of the naive
-//! per-prediction implementation: the process-wide descriptor intern
-//! table, the scratch-arena analysis kernels, the brief (chain-free)
+//! per-prediction implementation: the static descriptor tables, the
+//! scratch-arena analysis kernels, the brief (chain-free)
 //! Facile path, and the chunked parallel map. None of them may change a
 //! single output bit. These tests pit the optimized pipeline against the
-//! naive reference path (`AnnotatedBlock::new_uninterned` + the full
+//! naive reference path (`AnnotatedBlock::new_reference` + the full
 //! `Facile::predict`) across random blocks × all microarchitectures ×
 //! every builtin predictor, and pin down determinism of the parallel map
 //! across thread counts.
@@ -45,7 +45,7 @@ fn analytic_registry() -> PredictorRegistry {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The engine pipeline (interned annotations, scratch arenas, brief
+    /// The engine pipeline (table-served annotations, scratch arenas, brief
     /// predict) must be *bit*-identical to the naive reference path on
     /// every `(block, mode) × uarch × predictor` combination.
     #[test]
@@ -64,8 +64,8 @@ proptest! {
             prop_assert_eq!(rows.len(), predictors.len());
 
             // Naive reference: classify every instruction from scratch and
-            // run each predictor on the uninterned annotation.
-            let naive = AnnotatedBlock::new_uninterned(block.clone(), uarch);
+            // run each predictor on the reference annotation.
+            let naive = AnnotatedBlock::new_reference(block.clone(), uarch);
             for (row, p) in rows.iter().zip(&predictors) {
                 let reference = p.predict(&PredictRequest::new(&naive, mode));
                 match (&row.prediction, &reference) {

@@ -1,14 +1,10 @@
 //! Annotated basic blocks: instructions paired with their performance
 //! descriptors and macro-fusion structure for one microarchitecture.
 
-use crate::classify::{
-    describe, describe_fused_pair, describe_fused_pair_with_effects, macro_fuses,
-};
+use crate::classify::{describe_fused_pair_with_effects, describe_with_effects, macro_fuses};
 use crate::cols::{self, BlockColumns};
 use crate::desc::InstrDesc;
 use crate::form::shape_key;
-use crate::intern::InternedInst as Interned;
-use crate::intern::{interner, DescInterner, InternedInst};
 use crate::tables;
 use facile_uarch::Uarch;
 use facile_x86::{Block, Effects, Inst};
@@ -34,40 +30,33 @@ static FUSED_TAIL_DESC: InstrDesc = InstrDesc {
 
 /// Where an annotated instruction's descriptor comes from.
 ///
-/// The three variants are observationally identical (same `inst`,
+/// The two variants are observationally identical (same `inst`,
 /// `effects`, and `desc` through the accessors); they differ only in
-/// how the data was obtained and therefore what annotation paid for it.
+/// how the descriptor was obtained and who owns it. Effects are never
+/// stored: the hot kernels read the block's precomputed columns, and
+/// the few remaining consumers recompute them on demand, keeping the
+/// retained annotation (and the cache's page-fault footprint) small.
 #[derive(Debug, Clone)]
 enum DescEntry {
-    /// A shared entry in the process-wide descriptor intern table: the
-    /// runtime-classified fallback for forms outside the static tables,
-    /// the uninterned reference path, and snapshot restore.
-    Interned(Arc<InternedInst>),
     /// Served from the build-time static tables: the descriptor is a
-    /// `&'static` borrow — no classifier run, no interner hashing or
-    /// locking, no shared allocation. Effects are *not* stored: the hot
-    /// kernels read the block's precomputed columns, and the few
-    /// remaining consumers recompute them on demand, keeping the
-    /// retained annotation (and the cache's page-fault footprint)
-    /// small.
+    /// `&'static` borrow — no classifier run, no allocation.
     Static {
         inst: Inst,
         desc: &'static InstrDesc,
     },
-    /// A macro-fused pair head. Pair descriptors are trivial (a branch
-    /// µop plus an optional load), so they are built inline instead of
-    /// being interned by pair bytes. Boxed so this variant doesn't set
-    /// the size of every annotated instruction.
-    Pair { inst: Inst, desc: Box<InstrDesc> },
+    /// A descriptor built for this annotation: a macro-fused pair head,
+    /// a form outside the static tables (classified at runtime), or any
+    /// instruction on the classifier-only reference path. Boxed so this
+    /// variant doesn't set the size of every annotated instruction.
+    Owned { inst: Inst, desc: Box<InstrDesc> },
 }
 
 /// One instruction of an annotated block.
 ///
 /// Common forms carry a `&'static` descriptor from the build-time
-/// tables; everything else holds an `Arc` reference into the
-/// process-wide descriptor intern table, so annotating a corpus does
-/// the heavy classification at most once per *distinct* instruction
-/// encoding.
+/// tables; everything else owns a descriptor classified at annotation
+/// time. Repeats of a whole block are served by the engine's
+/// annotation cache, not re-annotated.
 #[derive(Debug, Clone)]
 pub struct AnnotatedInst {
     /// Decoded instruction + effects + descriptor.
@@ -80,8 +69,8 @@ pub struct AnnotatedInst {
 }
 
 /// Equality is semantic — the observable instruction, effects, and
-/// descriptor — so a table-served annotation compares equal to an
-/// interned or reference-path annotation of the same instruction.
+/// descriptor — so a table-served annotation compares equal to the
+/// reference-path annotation of the same instruction.
 impl PartialEq for AnnotatedInst {
     fn eq(&self, other: &Self) -> bool {
         self.start == other.start
@@ -98,8 +87,7 @@ impl AnnotatedInst {
     #[must_use]
     pub fn inst(&self) -> &Inst {
         match &self.entry {
-            DescEntry::Interned(e) => e.inst(),
-            DescEntry::Static { inst, .. } | DescEntry::Pair { inst, .. } => inst,
+            DescEntry::Static { inst, .. } | DescEntry::Owned { inst, .. } => inst,
         }
     }
 
@@ -112,27 +100,21 @@ impl AnnotatedInst {
             return &FUSED_TAIL_DESC;
         }
         match &self.entry {
-            DescEntry::Interned(e) => &e.desc,
             DescEntry::Static { desc, .. } => desc,
-            DescEntry::Pair { desc, .. } => desc.as_ref(),
+            DescEntry::Owned { desc, .. } => desc.as_ref(),
         }
     }
 
     /// Architectural reads and writes of [`Self::inst`].
     ///
-    /// Returned by value: interned entries clone their stored effects
-    /// (a couple of inline small-vectors), table-served entries derive
-    /// them from the instruction on demand. The per-prediction hot
+    /// Derived from the instruction on demand. The per-prediction hot
     /// paths never call this — they consume the precomputed
     /// [`AnnotatedBlock::columns`] instead — so the annotation doesn't
     /// retain a per-instruction `Effects` just to answer occasional
-    /// queries (detail rendering, simulation, snapshots).
+    /// queries (detail rendering, simulation).
     #[must_use]
     pub fn effects(&self) -> Effects {
-        match &self.entry {
-            DescEntry::Interned(e) => e.effects().clone(),
-            DescEntry::Static { inst, .. } | DescEntry::Pair { inst, .. } => inst.effects(),
-        }
+        self.inst().effects()
     }
 
     /// End offset (exclusive) of this instruction.
@@ -141,42 +123,23 @@ impl AnnotatedInst {
         self.start + self.inst().len as usize
     }
 
-    /// Build an annotated instruction from an externally constructed
-    /// interned entry (the snapshot-restore path; live annotation goes
-    /// through [`AnnotatedBlock::new`]).
-    #[must_use]
-    pub fn from_parts(
-        entry: Arc<InternedInst>,
-        start: usize,
-        fused_with_prev: bool,
-    ) -> AnnotatedInst {
-        AnnotatedInst {
-            entry: DescEntry::Interned(entry),
-            start,
-            fused_with_prev,
-        }
-    }
-
-    /// Heap bytes owned by this instruction's descriptor entry.
-    /// Interned entries count as a pointer (the intern table accounts
-    /// for their storage); static entries borrow their descriptor.
+    /// Heap bytes owned by this instruction's descriptor entry: static
+    /// entries borrow their descriptor, owned entries pay for its box.
     fn entry_heap_bytes(&self) -> usize {
         use facile_util::HeapSize;
         match &self.entry {
-            DescEntry::Interned(_) => 0,
             DescEntry::Static { inst, .. } => inst.heap_bytes(),
-            DescEntry::Pair { inst, desc } => {
+            DescEntry::Owned { inst, desc } => {
                 inst.heap_bytes() + std::mem::size_of::<InstrDesc>() + desc.heap_bytes()
             }
         }
     }
 }
 
-/// Accounting: the instruction list and kernel columns. The backing
-/// `Arc<Block>` and interned descriptors count as pointers — the
-/// annotation cache's level-1 entry owns the block, and the intern
-/// table owns the interned descriptors, so a process-global budget
-/// never double counts them.
+/// Accounting: the instruction list, owned descriptors, and kernel
+/// columns. The backing `Arc<Block>` counts as a pointer — the
+/// annotation cache's level-1 entry owns the block, so a
+/// process-global budget never double counts it.
 impl facile_util::HeapSize for AnnotatedBlock {
     fn heap_bytes(&self) -> usize {
         self.insts.capacity() * std::mem::size_of::<AnnotatedInst>()
@@ -210,11 +173,11 @@ pub struct AnnotatedBlock {
 }
 
 impl AnnotatedBlock {
-    /// Annotate `block` for `uarch`: look up descriptors (through the
-    /// process-wide intern table) and apply macro fusion.
+    /// Annotate `block` for `uarch`: look up descriptors (from the
+    /// static tables, classifying the rest) and apply macro fusion.
     #[must_use]
     pub fn new(block: Block, uarch: Uarch) -> AnnotatedBlock {
-        AnnotatedBlock::build(Arc::new(block), uarch, Some(interner()))
+        AnnotatedBlock::build(Arc::new(block), uarch, false)
     }
 
     /// Annotate an already-shared block: a nine-uarch sweep reuses one
@@ -222,55 +185,44 @@ impl AnnotatedBlock {
     /// microarchitecture (the engine's two-level cache uses this).
     #[must_use]
     pub fn new_shared(block: Arc<Block>, uarch: Uarch) -> AnnotatedBlock {
-        AnnotatedBlock::build(block, uarch, Some(interner()))
+        AnnotatedBlock::build(block, uarch, false)
     }
 
-    /// Annotate without the intern table: every descriptor is classified
-    /// from scratch. This is the naive reference path; it produces results
-    /// identical to [`AnnotatedBlock::new`] and exists so tests can assert
-    /// exactly that.
+    /// Annotate without the static tables: every descriptor is
+    /// classified from scratch. This is the naive reference path; it
+    /// produces results identical to [`AnnotatedBlock::new`] and exists
+    /// so tests can assert exactly that.
     #[must_use]
-    pub fn new_uninterned(block: Block, uarch: Uarch) -> AnnotatedBlock {
-        AnnotatedBlock::build(Arc::new(block), uarch, None)
+    pub fn new_reference(block: Block, uarch: Uarch) -> AnnotatedBlock {
+        AnnotatedBlock::build(Arc::new(block), uarch, true)
     }
 
-    fn build(block: Arc<Block>, uarch: Uarch, table: Option<&DescInterner>) -> AnnotatedBlock {
+    fn build(block: Arc<Block>, uarch: Uarch, reference: bool) -> AnnotatedBlock {
         let t_annotate = cols::timing_enabled().then(Instant::now);
         let cfg = uarch.config();
         let raw = block.insts();
-        let bytes = block.bytes();
         // Each entry comes paired with the instruction's effects: the
-        // column builder consumes them transiently, so table-served
-        // entries never pay for the effects walk twice and never retain
-        // the result.
+        // column builder consumes them transiently, so entries never pay
+        // for the effects walk twice and never retain the result.
         let single = |i: usize| -> (DescEntry, Effects) {
-            let Some(t) = table else {
-                // The uninterned reference path stays entirely on the
-                // runtime classifier — it is the oracle the static
-                // tables are tested against.
-                let entry = Arc::new(Interned::uninterned(raw[i].clone(), describe(&raw[i], cfg)));
-                let effects = entry.effects().clone();
-                return (DescEntry::Interned(entry), effects);
+            let inst = raw[i].clone();
+            let effects = inst.effects();
+            // The reference path stays entirely on the runtime
+            // classifier — it is the oracle the static tables are tested
+            // against.
+            let hit = if reference {
+                None
+            } else {
+                tables::lookup(inst.mnemonic, shape_key(&inst, &effects), uarch)
             };
-            // Fast path: serve the descriptor from the build-time static
-            // tables, skipping the classifier and the interner.
-            let effects = raw[i].effects();
-            if let Some(desc) = tables::lookup(raw[i].mnemonic, shape_key(&raw[i], &effects), uarch)
-            {
-                return (
-                    DescEntry::Static {
-                        inst: raw[i].clone(),
-                        desc,
-                    },
-                    effects,
-                );
-            }
-            let start = block.offset(i);
-            let end = start + raw[i].len as usize;
-            (
-                DescEntry::Interned(t.single(&bytes[start..end], &raw[i], cfg)),
-                effects,
-            )
+            let entry = match hit {
+                Some(desc) => DescEntry::Static { inst, desc },
+                None => {
+                    let desc = Box::new(describe_with_effects(&inst, &effects, cfg));
+                    DescEntry::Owned { inst, desc }
+                }
+            };
+            (entry, effects)
         };
         let mut insts: Vec<AnnotatedInst> = Vec::with_capacity(raw.len());
         let mut effs: Vec<Effects> = Vec::with_capacity(raw.len());
@@ -278,28 +230,15 @@ impl AnnotatedBlock {
         while i < raw.len() {
             let start = block.offset(i);
             if i + 1 < raw.len() && macro_fuses(&raw[i], &raw[i + 1], cfg) {
-                let (pair, effects) = if table.is_some() {
-                    // Pair descriptors are a branch µop plus an optional
-                    // load: cheaper to rebuild than to intern.
-                    let effects = raw[i].effects();
-                    let desc = describe_fused_pair_with_effects(&raw[i], &effects, cfg);
-                    (
-                        DescEntry::Pair {
-                            inst: raw[i].clone(),
-                            desc: Box::new(desc),
-                        },
-                        effects,
-                    )
-                } else {
-                    let entry = Arc::new(Interned::uninterned(
-                        raw[i].clone(),
-                        describe_fused_pair(&raw[i], &raw[i + 1], cfg),
-                    ));
-                    let effects = entry.effects().clone();
-                    (DescEntry::Interned(entry), effects)
-                };
+                // Pair descriptors are a branch µop plus an optional
+                // load: no table serves them on either path.
+                let effects = raw[i].effects();
+                let desc = Box::new(describe_fused_pair_with_effects(&raw[i], &effects, cfg));
                 insts.push(AnnotatedInst {
-                    entry: pair,
+                    entry: DescEntry::Owned {
+                        inst: raw[i].clone(),
+                        desc,
+                    },
                     start,
                     fused_with_prev: false,
                 });
@@ -345,34 +284,6 @@ impl AnnotatedBlock {
         }
     }
 
-    /// Assemble an annotated block from externally reconstructed
-    /// instructions (the snapshot-restore path). µop totals are
-    /// recomputed from the supplied descriptors exactly as
-    /// [`AnnotatedBlock::new`] computes them, so a faithfully
-    /// round-tripped block predicts bit-identically to a live-annotated
-    /// one.
-    #[must_use]
-    pub fn from_parts(
-        block: Arc<Block>,
-        uarch: Uarch,
-        insts: Vec<AnnotatedInst>,
-    ) -> AnnotatedBlock {
-        let effs: Vec<Effects> = insts.iter().map(AnnotatedInst::effects).collect();
-        let cols = BlockColumns::build(&insts, &effs);
-        let total_fused = insts.iter().map(|a| u32::from(a.desc().fused_uops)).sum();
-        let total_issue = insts.iter().map(|a| u32::from(a.desc().issue_uops)).sum();
-        let total_unfused = insts.iter().map(|a| a.desc().unfused_uops() as u32).sum();
-        AnnotatedBlock {
-            uarch,
-            block,
-            insts,
-            cols,
-            total_fused,
-            total_issue,
-            total_unfused,
-        }
-    }
-
     /// The microarchitecture this block was annotated for.
     #[must_use]
     pub fn uarch(&self) -> Uarch {
@@ -392,7 +303,7 @@ impl AnnotatedBlock {
     }
 
     /// The block's struct-of-arrays kernel columns (placement facts,
-    /// dispatched µops, interned dataflow), built at annotation time.
+    /// dispatched µops, per-block value ids), built at annotation time.
     #[must_use]
     pub fn columns(&self) -> &BlockColumns {
         &self.cols
@@ -509,10 +420,10 @@ mod tests {
     }
 
     #[test]
-    fn interned_equals_uninterned() {
+    fn table_served_equals_reference() {
         for u in [Uarch::Skl, Uarch::Snb, Uarch::Icl] {
             let a = AnnotatedBlock::new(loop_block(), u);
-            let b = AnnotatedBlock::new_uninterned(loop_block(), u);
+            let b = AnnotatedBlock::new_reference(loop_block(), u);
             assert_eq!(a.insts(), b.insts(), "{u}");
             assert_eq!(a.total_fused_uops(), b.total_fused_uops());
             assert_eq!(a.total_issue_uops(), b.total_issue_uops());

@@ -249,9 +249,8 @@ pub fn describe(inst: &Inst, cfg: &UarchConfig) -> InstrDesc {
 }
 
 /// [`describe`] with the architectural effects already computed, so
-/// callers that interned the effects (the two-level descriptor table
-/// classifies one instruction on up to nine microarchitectures) don't
-/// recompute them per microarchitecture.
+/// callers that already hold them (annotation derives them once for
+/// the table lookup and the kernel columns) don't recompute them.
 #[must_use]
 pub fn describe_with_effects(inst: &Inst, effects: &Effects, cfg: &UarchConfig) -> InstrDesc {
     let lat = latencies(cfg.arch);

@@ -8,7 +8,7 @@
 //! a representative of each key on every microarchitecture, and emits
 //! static tables. At runtime the annotator recomputes the key from the
 //! decoded instruction and its effects and indexes the table directly,
-//! skipping the classifier *and* the descriptor interner.
+//! skipping the classifier.
 //!
 //! Everything the classifier inspects is folded into the key:
 //!

@@ -31,7 +31,6 @@ pub mod classify;
 pub mod cols;
 pub mod desc;
 pub mod form;
-pub mod intern;
 pub mod probes;
 pub mod tables;
 pub mod vocab;
@@ -40,8 +39,4 @@ pub use annotate::{AnnotatedBlock, AnnotatedInst};
 pub use classify::{describe, describe_fused_pair, macro_fuses};
 pub use cols::{BlockColumns, FlowCol, PassTiming};
 pub use desc::{InstrDesc, Uop, UopKind};
-pub use intern::{
-    attach_intern_budget, intern_stats, set_intern_capacity, DescInterner, InternStats,
-    InternedInst,
-};
 pub use tables::{reset_static_table_stats, static_table_stats, StaticTableStats, TABLE_HASH};

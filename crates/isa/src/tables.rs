@@ -4,9 +4,9 @@
 //! classifies a representative of each `(mnemonic, shape key)` on all
 //! nine microarchitectures with the runtime classifier, and emits the
 //! result as `static` data. [`lookup`] turns annotation's cold path
-//! from "run the classifier, build a descriptor, intern it" into "index
-//! a table": a binary search over a handful of shape keys, returning a
-//! `&'static InstrDesc` that needs no interning and no allocation.
+//! from "run the classifier, build a descriptor" into "index a table":
+//! a binary search over a handful of shape keys, returning a
+//! `&'static InstrDesc` that needs no allocation.
 //!
 //! Forms outside the tables (or outside the keyable space entirely) use
 //! the runtime classifier exactly as before; [`static_table_stats`]
@@ -67,8 +67,7 @@ mod generated {
 
 /// Content hash of the generated tables (FNV-1a over the generated
 /// source). Changes whenever the classifier, the form enumeration, or
-/// the key packing changes — snapshot files embed it so a stale
-/// annotation cache is detected instead of silently reused.
+/// the key packing changes; `tables.lock` pins it so drift fails CI.
 pub const TABLE_HASH: u64 = generated::TABLE_HASH;
 
 /// Total number of `(mnemonic group, shape key)` rows in the tables.

@@ -12,9 +12,10 @@
 use facile_isa::form::{shape_key, MAX_KEY_OPERANDS, UNKEYED};
 use facile_isa::probes::enumerate_probes;
 use facile_isa::tables::lookup_uncounted;
-use facile_isa::{describe, TABLE_HASH};
+use facile_isa::{describe, AnnotatedBlock, InstrDesc, TABLE_HASH};
 use facile_uarch::Uarch;
-use facile_x86::{Inst, Mem, Mnemonic, Operand, Reg, Width};
+use facile_util::HeapSize;
+use facile_x86::{Block, Inst, Mem, Mnemonic, Operand, Reg, Width};
 
 #[test]
 fn every_table_entry_is_bit_identical_to_runtime_classification() {
@@ -106,4 +107,37 @@ fn table_hash_is_pinned_in_the_lock_file() {
          the build produced {current}; update crates/isa/tables.lock if \
          the change is intentional"
     );
+}
+
+#[test]
+fn heap_size_counts_the_owned_descriptor_of_a_table_miss() {
+    // The same load through an absolute displacement (a table miss, so
+    // annotation owns a runtime-classified descriptor) and through a
+    // RIP-relative one (table-served, so the descriptor is a static
+    // borrow). Neither reads an address register, so the kernel columns
+    // match and the difference is the owned descriptor.
+    let miss = absolute_mem_inst();
+    let mut hit = miss.clone();
+    hit.operands[1] = Operand::Mem(Mem::rip_rel(64, Width::W64));
+    let block = |inst: &Inst| Block::assemble(&[(inst.mnemonic, inst.operands.clone())]).unwrap();
+    let (miss_block, hit_block) = (block(&miss), block(&hit));
+    assert_eq!(miss_block.insts()[0].operands, miss.operands);
+    for u in Uarch::ALL {
+        let hit_effects = hit_block.insts()[0].effects();
+        assert!(
+            lookup_uncounted(
+                Mnemonic::Mov,
+                shape_key(&hit_block.insts()[0], &hit_effects),
+                u
+            )
+            .is_some(),
+            "RIP-relative mov is table-served on {u}"
+        );
+        let owned = AnnotatedBlock::new(miss_block.clone(), u).heap_bytes();
+        let borrowed = AnnotatedBlock::new(hit_block.clone(), u).heap_bytes();
+        assert!(
+            owned >= borrowed + std::mem::size_of::<InstrDesc>(),
+            "table miss accounts {owned} bytes vs {borrowed} table-served on {u}"
+        );
+    }
 }

@@ -2,8 +2,8 @@
 //! exact reply bytes against a live in-process server, so any protocol
 //! change is a deliberate golden update, never an accident.
 //!
-//! The `stats` reply is the one exception: the intern table is
-//! process-wide and the engine counters move with parallel test
+//! The `stats` reply is the one exception: the static-table counters
+//! are process-wide and the engine counters move with parallel test
 //! execution, so its reply is shape-checked rather than byte-pinned.
 
 use facile_server::{Endpoint, Server, ServerConfig};
@@ -126,21 +126,13 @@ fn stats_reply_shape() {
         "rejected_overload",
         "rejected_deadline",
         "protocol_errors",
-        "snapshot_saves",
-        "snapshot_save_errors",
         "batcher_restarts",
     ] {
         assert!(srv.get(key).is_some(), "server stats missing {key}");
     }
     assert!(srv.get("rows").and_then(|x| x.as_f64()).expect("rows") >= 1.0);
     let engine = stats.get("engine").expect("engine counters");
-    for key in [
-        "planner",
-        "block_cache",
-        "intern_table",
-        "static_tables",
-        "kernels",
-    ] {
+    for key in ["planner", "block_cache", "static_tables", "kernels"] {
         assert!(engine.get(key).is_some(), "engine stats missing {key}");
     }
     server.stop();

@@ -1,9 +1,8 @@
 //! Bounded, byte-accounted caching: a sharded segmented-LRU plus a
 //! process-global memory budget.
 //!
-//! Every memo table that makes this workspace fast (the descriptor
-//! intern table, the engine's block-annotation cache, the external
-//! result cache) is a pure memoization: evicting an entry can never
+//! Every memo table that makes this workspace fast (the engine's
+//! block-annotation cache, the external result cache) is a pure memoization: evicting an entry can never
 //! change a result, only the time it takes to recompute it. That makes
 //! a bounded cache the natural containment tool for the adversarial
 //! regime a long-running server faces — an endless stream of *distinct*

@@ -1,7 +1,7 @@
 //! A fast, deterministic hasher (the FxHash algorithm used by rustc).
 //!
 //! The default [`std::collections::HashMap`] hasher (SipHash-1-3) costs
-//! tens of nanoseconds per short key; in the annotation/intern hot path
+//! tens of nanoseconds per short key; in the annotation hot path
 //! that is a measurable fraction of a whole prediction. FxHash is a
 //! multiply-rotate mix that is 5-10× faster on the small keys these
 //! tables use (instruction bytes, packed node ids) and — unlike the std

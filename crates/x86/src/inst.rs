@@ -368,14 +368,6 @@ impl facile_util::HeapSize for Inst {
     }
 }
 
-/// Accounting: the register small-vectors are the only possible heap
-/// storage (they spill past 6 entries; `mem` is a `Copy` leaf).
-impl facile_util::HeapSize for Effects {
-    fn heap_bytes(&self) -> usize {
-        self.reg_reads.spill_bytes() + self.reg_writes.spill_bytes()
-    }
-}
-
 impl fmt::Display for Inst {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.mnemonic)?;

@@ -27,8 +27,8 @@
 //! * [`diff`] — the differential-testing harness: cross-predictor
 //!   inconsistency hunting with deterministic block shrinking;
 //! * [`server`] — prediction-as-a-service: the NDJSON daemon with
-//!   cross-connection micro-batching and the persistent on-disk
-//!   annotation snapshot behind `facile serve` / `facile client`.
+//!   cross-connection micro-batching, bounded admission, and SIGTERM
+//!   drain behind `facile serve` / `facile client`.
 //!
 //! ## Quickstart: one block, interpretable
 //!
@@ -76,7 +76,7 @@
 //! The same path is scriptable from the CLI:
 //!
 //! ```text
-//! echo 4801c8 | facile --batch --predictors 'facile,sim' --json
+//! echo 4801c8 | facile --batch --predictors 'facile,sim' --format json
 //! ```
 
 #![warn(missing_docs)]
