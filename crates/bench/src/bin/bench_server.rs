@@ -7,10 +7,9 @@
 //! * **round_trip** — single-block requests over TCP against the
 //!   default server configuration, for 1 client and for 8 concurrent
 //!   clients: p50/p99 round-trip latency and served blocks/second.
-//!   With one client every request pays the full micro-batch gather
-//!   window; with eight, concurrent requests share gathered batches,
-//!   so per-client latency holds roughly constant while aggregate
-//!   throughput scales — that asymmetry *is* the design working.
+//!   With one client every request is dispatched as soon as it is
+//!   queued; with eight, requests that arrive while a batch runs share
+//!   the next one.
 //! * **batch_stream** — the 2000-block suite streamed as chunked batch
 //!   requests through one connection (how `facile client --batch`
 //!   drives the daemon): served blocks/second end to end.
@@ -346,7 +345,7 @@ fn main() {
     };
     let json = format!(
         "{{\n  \"benchmark\": \"server_round_trip\",\n  \"blocks\": {},\n  \
-         \"seed\": {},\n  \"host_cpus\": {},\n  \"gather_window_us\": 500,\n  \
+         \"seed\": {},\n  \"host_cpus\": {},\n  \
          \"round_trip\": {{\n    \
          \"clients_1\": {{ \"p50_us\": {:.1}, \"p99_us\": {:.1}, \"blocks_per_sec\": {:.1} }},\n    \
          \"clients_8\": {{ \"p50_us\": {:.1}, \"p99_us\": {:.1}, \"blocks_per_sec\": {:.1} }}\n  }},\n  \

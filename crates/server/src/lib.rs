@@ -6,12 +6,13 @@
 //!
 //! Two properties define the design:
 //!
-//! * **Cross-connection batching.** Requests from concurrent
-//!   connections gather into shared engine batches (a thread per
-//!   connection feeds a micro-batching queue), so the batch planner's
-//!   dedup stage and the two-level annotation cache work *across*
-//!   clients exactly as they work across lines of a CLI batch. See
-//!   [`server`].
+//! * **Cross-connection batching.** A thread per connection feeds one
+//!   queue, and the batcher takes everything queued as one engine batch
+//!   the moment it is free: a lone request runs at once, and requests
+//!   that arrive while a batch runs are batched together. The batch
+//!   planner's dedup stage and the two-level annotation cache therefore
+//!   work *across* clients exactly as they work across lines of a CLI
+//!   batch. See [`server`].
 //! * **Byte-identical rows.** Protocol replies render rows with the
 //!   same `facile_engine::render` functions the CLI uses, so a row
 //!   served over a socket is byte-for-byte the row `facile --batch`

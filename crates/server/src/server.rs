@@ -1,4 +1,4 @@
-//! The daemon: listeners, connection threads, and the micro-batcher.
+//! The daemon: listeners, connection threads, and the batcher.
 //!
 //! ```text
 //!  conn thread ──┐  enqueue(Job)                 ┌── reply channel ──┐
@@ -9,10 +9,12 @@
 //! Each connection is served by one thread that reads a request line,
 //! enqueues the work, blocks on its private reply channel, and writes
 //! the reply — so per-connection reply order is trivially request
-//! order. Parallelism comes from the *batcher*: it dequeues the first
-//! waiting job, then gathers everything else that arrives within a
-//! short window into one engine batch. Concurrent requests from
-//! different connections therefore reach `Engine::run_batch` as one
+//! order. Parallelism comes from the *batcher*, which batches
+//! naturally: as soon as it wakes it takes every queued job as one
+//! engine batch, without waiting for more. Jobs that arrive while the
+//! engine runs that batch queue up and form the next one. A lone
+//! request therefore never waits, while concurrent requests from
+//! different connections still reach `Engine::predict_batch` as one
 //! plan, where the planner's dedup stage collapses identical
 //! `(block, uarch, mode, detail)` items *across connections* and the
 //! two-level annotation cache serves repeats — the same machinery, and
@@ -45,6 +47,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Where the server listens.
@@ -69,10 +72,6 @@ pub struct ServerConfig {
     pub predictors: String,
     /// Admission bound: queued + in-flight batch items.
     pub queue_cap: usize,
-    /// How long the batcher waits for more work after the first job.
-    pub gather_window: Duration,
-    /// Largest number of items gathered into one engine batch.
-    pub max_batch_items: usize,
     /// Longest accepted request line, in bytes.
     pub max_line_bytes: usize,
     /// Deterministic fault-injection spec (see the `facile-faults`
@@ -106,8 +105,6 @@ impl ServerConfig {
             threads: 0,
             predictors: "facile".to_string(),
             queue_cap: 65_536,
-            gather_window: Duration::from_micros(500),
-            max_batch_items: 8_192,
             max_line_bytes: 1 << 20,
             faults: None,
             external: Vec::new(),
@@ -130,7 +127,7 @@ pub struct ServerCounters {
     pub rows: AtomicU64,
     /// Engine batches dispatched by the batcher.
     pub batches: AtomicU64,
-    /// Items across those batches (≥ jobs; cross-connection gathering
+    /// Items across those batches (≥ jobs; cross-connection batching
     /// makes this exceed per-request item counts).
     pub batched_items: AtomicU64,
     /// Requests rejected at admission (`overloaded`).
@@ -469,9 +466,10 @@ impl Write for Stream {
 pub struct Server {
     shared: Arc<Shared>,
     bound: BoundAddr,
-    acceptor: Option<std::thread::JoinHandle<()>>,
-    batcher: Option<std::thread::JoinHandle<()>>,
-    conns: Arc<PoisonlessMutex<Vec<std::thread::JoinHandle<()>>>>,
+    /// Returns the handles of the connection threads still running
+    /// when it stops accepting.
+    acceptor: Option<JoinHandle<Vec<JoinHandle<()>>>>,
+    batcher: Option<JoinHandle<()>>,
 }
 
 impl Server {
@@ -559,8 +557,6 @@ impl Server {
             externals,
             tier: AtomicU8::new(0),
         });
-        let conns: Arc<PoisonlessMutex<Vec<std::thread::JoinHandle<()>>>> = Arc::default();
-
         let batcher = {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
@@ -569,17 +565,15 @@ impl Server {
         };
         let acceptor = {
             let shared = Arc::clone(&shared);
-            let conns = Arc::clone(&conns);
             std::thread::Builder::new()
                 .name("facile-acceptor".into())
-                .spawn(move || acceptor_loop(&listener, &shared, &conns))?
+                .spawn(move || acceptor_loop(&listener, &shared))?
         };
         Ok(Server {
             shared,
             bound,
             acceptor: Some(acceptor),
             batcher: Some(batcher),
-            conns,
         })
     }
 
@@ -609,14 +603,15 @@ impl Server {
     pub fn stop(mut self) {
         self.shared.draining.store(true, Ordering::SeqCst);
         self.shared.queue_cv.notify_all();
-        if let Some(h) = self.acceptor.take() {
-            let _ = h.join();
-        }
-        // Acceptor is down: the connection list is final. Connection
-        // threads see `draining` via their read timeouts and exit after
-        // finishing the request they are on.
-        let handles = std::mem::take(&mut *self.conns.lock());
-        for h in handles {
+        // Once the acceptor is down its connection list is final.
+        // Connection threads see `draining` via their read timeouts and
+        // exit after finishing the request they are on.
+        let conns = self
+            .acceptor
+            .take()
+            .and_then(|h| h.join().ok())
+            .unwrap_or_default();
+        for h in conns {
             let _ = h.join();
         }
         // No producer is left; the batcher may now finish the queue and
@@ -642,11 +637,9 @@ const ACCEPT_WAIT: Duration = Duration::from_millis(100);
 /// sleeps in `poll(2)` on the listener, so a connection is picked up as
 /// soon as it arrives and a drain is noticed within [`ACCEPT_WAIT`].
 /// Elsewhere it falls back to polling the non-blocking listener.
-fn acceptor_loop(
-    listener: &Listener,
-    shared: &Arc<Shared>,
-    conns: &Arc<PoisonlessMutex<Vec<std::thread::JoinHandle<()>>>>,
-) {
+/// Returns the handles of the connection threads still open.
+fn acceptor_loop(listener: &Listener, shared: &Arc<Shared>) -> Vec<JoinHandle<()>> {
+    let mut conns: Vec<JoinHandle<()>> = Vec::new();
     while !shared.draining() {
         #[cfg(unix)]
         if !listener.wait_acceptable(ACCEPT_WAIT) {
@@ -660,7 +653,18 @@ fn acceptor_loop(
                     .name("facile-conn".into())
                     .spawn(move || connection_loop(stream, &shared));
                 if let Ok(h) = handle {
-                    conns.lock().push(h);
+                    // Join the threads of closed connections, so each
+                    // one's stack is released instead of held until
+                    // `stop()`.
+                    let mut i = 0;
+                    while i < conns.len() {
+                        if conns[i].is_finished() {
+                            let _ = conns.swap_remove(i).join();
+                        } else {
+                            i += 1;
+                        }
+                    }
+                    conns.push(h);
                 }
             }
             // On Unix: the pending connection went away between the
@@ -674,6 +678,7 @@ fn acceptor_loop(
             Err(_) => std::thread::sleep(Duration::from_millis(20)),
         }
     }
+    conns
 }
 
 /// Per-connection governance state: the request-rate token bucket
@@ -966,7 +971,7 @@ fn handle_line(line: &str, shared: &Arc<Shared>, conn: &mut ConnState) -> String
 
 /// The batcher's supervisor: runs [`batcher_loop`] and, if it panics
 /// (it should not — the engine contains per-item panics — but a bug in
-/// the gather/dispatch plumbing itself could), fails the requests the
+/// the dispatch plumbing itself could), fails the requests the
 /// dead incarnation left behind and starts a fresh one. The thread named
 /// `facile-batcher` therefore only ever exits on a clean drain.
 fn batcher_supervisor(shared: &Arc<Shared>) {
@@ -997,12 +1002,13 @@ fn batcher_supervisor(shared: &Arc<Shared>) {
     }
 }
 
-/// The micro-batching loop: gather concurrently queued jobs into one
-/// engine batch per predictor selector.
+/// The natural-batching loop: every job queued when the batcher wakes
+/// forms one engine batch per predictor selector; jobs that arrive
+/// while it runs form the next.
 fn batcher_loop(shared: &Arc<Shared>) {
     loop {
         // Wait for work (or a drain).
-        let mut jobs: Vec<Job> = {
+        let jobs: Vec<Job> = {
             let mut q = shared.queue.lock();
             loop {
                 if !q.is_empty() {
@@ -1019,32 +1025,13 @@ fn batcher_loop(shared: &Arc<Shared>) {
         // Fault injection: the batcher dies between dequeue and dispatch
         // (the worst moment — it holds jobs), exercising the supervisor.
         facile_faults::maybe_panic_seq(facile_faults::Point::BatcherPanic);
-        // Gather: let closely-following jobs join this batch, up to the
-        // window or the size cap.
-        let window_ends = Instant::now() + shared.cfg.gather_window;
-        loop {
-            let gathered: usize = jobs.iter().map(|j| j.items.len()).sum();
-            if gathered >= shared.cfg.max_batch_items {
-                break;
-            }
-            let now = Instant::now();
-            if now >= window_ends {
-                break;
-            }
-            let mut q = shared.queue.lock();
-            if q.is_empty() {
-                let (guard, _) = recover(shared.queue_cv.wait_timeout(q, window_ends - now));
-                q = guard;
-            }
-            jobs.append(&mut q);
-        }
-        run_gathered(shared, jobs);
+        run_batch(shared, jobs);
     }
 }
 
-/// Dispatch one gathered set of jobs: drop the expired, then one engine
+/// Dispatch one dequeued set of jobs: drop the expired, then one engine
 /// batch per distinct selector, slicing the row fan-out back per job.
-fn run_gathered(shared: &Arc<Shared>, jobs: Vec<Job>) {
+fn run_batch(shared: &Arc<Shared>, jobs: Vec<Job>) {
     // Deadlines are judged here, at dequeue: a request whose budget was
     // spent waiting in the queue is answered with an error instead of
     // occupying the engine.
@@ -1083,7 +1070,7 @@ fn run_gathered(shared: &Arc<Shared>, jobs: Vec<Job>) {
         // the planner/fan-out plumbing around them, converting a batch-
         // level panic into `internal-panic` replies instead of a dead
         // batcher (the supervisor would catch that too, but the jobs in
-        // *other* selector groups of this gather deserve their answers).
+        // *other* selector groups of this batch deserve their answers).
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             shared.engine.predict_batch(&items, &selector)
         }));

@@ -20,7 +20,6 @@ use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Barrier, Mutex, MutexGuard};
-use std::time::Duration;
 
 /// Serializes tests (fault configuration is process-global) and arms
 /// the quiet panic hook so injected panics don't spam test output.
@@ -39,7 +38,6 @@ fn gate() -> MutexGuard<'static, ()> {
 fn start(cfg_tweak: impl FnOnce(&mut ServerConfig)) -> Server {
     let mut cfg = ServerConfig::new(Endpoint::Tcp("127.0.0.1:0".to_string()));
     cfg.threads = 2;
-    cfg.gather_window = Duration::from_micros(200);
     cfg_tweak(&mut cfg);
     Server::start(cfg).expect("server starts")
 }

@@ -1,19 +1,37 @@
 //! Concurrency tests: many clients hammering one server must lose
 //! nothing, duplicate nothing, and keep per-connection reply order —
 //! and concurrent connections must actually share engine batches (the
-//! whole point of cross-connection micro-batching).
+//! whole point of cross-connection batching).
+//!
+//! The batch-sharing test holds the engine busy with the `slow-predict`
+//! fault. Fault state is process-global, so every test serializes on
+//! [`GATE`] and starts from a cleared configuration.
 
+use facile_server::faults;
 use facile_server::{BoundAddr, Endpoint, Server, ServerConfig};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Barrier};
-use std::time::Duration;
+use std::sync::{Arc, Barrier, Mutex, MutexGuard};
+use std::time::{Duration, Instant};
 
-fn start(gather: Duration) -> Server {
+static GATE: Mutex<()> = Mutex::new(());
+
+fn gate() -> MutexGuard<'static, ()> {
+    assert!(
+        faults::compiled(),
+        "concurrency tests need the injection feature"
+    );
+    let g = GATE
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    faults::clear();
+    g
+}
+
+fn start() -> Server {
     let mut cfg = ServerConfig::new(Endpoint::Tcp("127.0.0.1:0".to_string()));
     cfg.threads = 2;
-    cfg.gather_window = gather;
     Server::start(cfg).expect("server starts")
 }
 
@@ -45,9 +63,9 @@ fn planner_deduped(addr: std::net::SocketAddr) -> u64 {
 fn no_lost_or_duplicated_replies_and_order_is_preserved() {
     const CLIENTS: usize = 8;
     const REQUESTS: usize = 25;
-    // A short gather window keeps this test fast; correctness must not
-    // depend on how requests happen to be batched.
-    let server = start(Duration::from_micros(200));
+    let _g = gate();
+    // Correctness must not depend on how requests happen to be batched.
+    let server = start();
     let addr = tcp_addr(&server);
 
     let barrier = Arc::new(Barrier::new(CLIENTS));
@@ -114,11 +132,32 @@ fn no_lost_or_duplicated_replies_and_order_is_preserved() {
 #[test]
 fn concurrent_connections_share_batches_and_dedup() {
     const CLIENTS: usize = 6;
-    // A wide gather window so simultaneous single-item requests from
-    // different connections land in one engine batch.
-    let server = start(Duration::from_millis(250));
+    const BLOCK: &str = "4801c8480fafd0";
+    let _g = gate();
+    // Every prediction sleeps 1 s, so requests that arrive while the
+    // engine runs one batch queue up behind it and form the next.
+    faults::configure("slow-predict=1,slow-ms=1000").expect("spec parses");
+    let server = start();
     let addr = tcp_addr(&server);
     let before = planner_deduped(addr);
+    let c = server.counters();
+
+    // One head request occupies the engine.
+    let mut head_tx = TcpStream::connect(addr).expect("connects");
+    let mut head_rx = BufReader::new(head_tx.try_clone().expect("clones"));
+    writeln!(
+        head_tx,
+        r#"{{"op":"predict","block":"{BLOCK}","id":"head"}}"#
+    )
+    .expect("writes");
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while c.batches.load(Ordering::SeqCst) == 0 {
+        assert!(
+            Instant::now() < deadline,
+            "the head request never dispatched"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
 
     let barrier = Arc::new(Barrier::new(CLIENTS));
     let handles: Vec<_> = (0..CLIENTS)
@@ -128,13 +167,9 @@ fn concurrent_connections_share_batches_and_dedup() {
                 let mut tx = TcpStream::connect(addr).expect("connects");
                 let mut rx = BufReader::new(tx.try_clone().expect("clones"));
                 barrier.wait();
-                // Every connection asks for the *same* block: any two
-                // jobs gathered into one batch collapse in the planner.
-                writeln!(
-                    tx,
-                    r#"{{"op":"predict","block":"4801c8480fafd0","id":{t}}}"#
-                )
-                .expect("writes");
+                // Every connection asks for the *same* block: jobs
+                // batched together collapse in the planner.
+                writeln!(tx, r#"{{"op":"predict","block":"{BLOCK}","id":{t}}}"#).expect("writes");
                 let mut line = String::new();
                 rx.read_line(&mut line).expect("reply");
                 assert!(line.contains(r#""throughput":3.0000"#), "{line}");
@@ -144,18 +179,21 @@ fn concurrent_connections_share_batches_and_dedup() {
     for h in handles {
         h.join().expect("client thread");
     }
+    let mut line = String::new();
+    head_rx.read_line(&mut line).expect("head reply");
+    assert!(line.contains(r#""throughput":3.0000"#), "{line}");
+    faults::clear();
 
     let deduped = planner_deduped(addr) - before;
     assert!(
         deduped > 0,
         "identical blocks from concurrent connections never shared a batch"
     );
-    let c = server.counters();
     let batches = c.batches.load(Ordering::Relaxed);
     let items = c.batched_items.load(Ordering::Relaxed);
     assert!(
         batches < items,
-        "cross-connection gathering never happened: {batches} batches for {items} items"
+        "cross-connection batching never happened: {batches} batches for {items} items"
     );
     server.stop();
 }

@@ -1,6 +1,7 @@
 //! Connection lifecycle: fresh connections are picked up as soon as
-//! they arrive, `stop()` drains promptly on every listener kind, and
-//! line framing does not depend on how a request is split into writes.
+//! they arrive, a lone request is dispatched without waiting for
+//! company, `stop()` drains promptly on every listener kind, and line
+//! framing does not depend on how a request is split into writes.
 
 use facile_server::{BoundAddr, Endpoint, Server, ServerConfig};
 use std::io::{BufRead, BufReader, Read, Write};
@@ -90,6 +91,40 @@ fn fresh_tcp_connections_are_accepted_at_once() {
 #[test]
 fn fresh_unix_connections_are_accepted_at_once() {
     assert_fresh_connections_are_prompt(unix_endpoint("fresh"));
+}
+
+/// A lone client's warm single-block `predict` round trip costs about
+/// what the engine and the socket cost: the batcher dispatches a job as
+/// soon as it is queued rather than holding it for others to join.
+/// Median of 200 closed-loop round trips after 20 warm-ups, under
+/// 300 µs.
+#[test]
+fn lone_predict_round_trip_is_not_held_back() {
+    let server = start(Endpoint::Tcp("127.0.0.1:0".into()));
+    let (mut tx, rx) = connect(&server);
+    let mut rx = BufReader::new(rx);
+    let req = b"{\"op\":\"predict\",\"block\":\"4801c8480fafd0\"}\n";
+    let mut line = String::new();
+    let mut round_trip = || {
+        let t = Instant::now();
+        tx.write_all(req).expect("writes");
+        line.clear();
+        rx.read_line(&mut line).expect("reply arrives");
+        let took = t.elapsed();
+        assert!(line.starts_with(r#"{"ok":true,"rows":["#), "{line}");
+        took
+    };
+    for _ in 0..20 {
+        round_trip();
+    }
+    let mut times: Vec<Duration> = (0..200).map(|_| round_trip()).collect();
+    server.stop();
+    times.sort();
+    let median = times[times.len() / 2];
+    assert!(
+        median < Duration::from_micros(300),
+        "median warm round trip {median:?}"
+    );
 }
 
 /// `stop()` returns within 2 s on every listener kind, whether or not

@@ -2,16 +2,35 @@
 //! tiers shedding batch-then-predict under queue pressure, per-connection
 //! limits, and the cache budget's accounting — all against
 //! a live in-process server.
+//!
+//! The shedding test holds a batch in the engine with the `slow-predict`
+//! fault. Fault state is process-global, so every test serializes on
+//! [`GATE`] and starts from a cleared configuration.
 
+use facile_server::faults;
 use facile_server::{Endpoint, Server, ServerConfig};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
+
+static GATE: Mutex<()> = Mutex::new(());
+
+fn gate() -> MutexGuard<'static, ()> {
+    assert!(
+        faults::compiled(),
+        "governance tests need the injection feature"
+    );
+    let g = GATE
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    faults::clear();
+    g
+}
 
 fn start(mut cfg_edit: impl FnMut(&mut ServerConfig)) -> Server {
     let mut cfg = ServerConfig::new(Endpoint::Tcp("127.0.0.1:0".to_string()));
     cfg.threads = 2;
-    cfg.gather_window = Duration::from_micros(100);
     cfg_edit(&mut cfg);
     Server::start(cfg).expect("server binds an ephemeral port")
 }
@@ -36,6 +55,7 @@ fn round_trip(tx: &mut TcpStream, rx: &mut BufReader<TcpStream>, req: &str) -> S
 
 #[test]
 fn health_reply_is_pinned_when_idle() {
+    let _g = gate();
     let server = start(|_| {});
     let (mut tx, mut rx) = connect(&server);
     assert_eq!(
@@ -51,12 +71,13 @@ fn health_reply_is_pinned_when_idle() {
 
 #[test]
 fn tiers_shed_batch_then_predict_under_queue_pressure() {
-    // queue_cap 7 + a long gather window: one admitted 7-item batch
-    // holds pending_items at the cap (pressure 1.0 = shedding) until the
-    // batcher's window closes, long enough to probe the tiers.
+    let _g = gate();
+    // queue_cap 7 + a 1.5 s injected predictor delay: one admitted
+    // 7-item batch holds pending_items at the cap (pressure 1.0 =
+    // shedding) while the engine runs it, long enough to probe the tiers.
+    faults::configure("slow-predict=1,slow-ms=1500").expect("spec parses");
     let server = start(|cfg| {
         cfg.queue_cap = 7;
-        cfg.gather_window = Duration::from_millis(1500);
         cfg.threads = 1;
     });
     let (mut atx, mut arx) = connect(&server);
@@ -115,10 +136,12 @@ fn tiers_shed_batch_then_predict_under_queue_pressure() {
     assert_eq!(g(&c.shed_batch), 1);
     assert_eq!(g(&c.shed_predict), 1);
     server.stop();
+    faults::clear();
 }
 
 #[test]
 fn per_connection_limits_reject_before_admission() {
+    let _g = gate();
     let server = start(|cfg| {
         cfg.conn_max_items = 4;
         cfg.conn_rps = 2;
@@ -170,6 +193,7 @@ fn per_connection_limits_reject_before_admission() {
 
 #[test]
 fn cache_budget_bounds_memory() {
+    let _g = gate();
     let budget_mb = 8usize;
     let server = start(|cfg| {
         cfg.cache_budget = Some(facile_engine::CacheBudget::from_total_mb(budget_mb));

@@ -9,12 +9,10 @@
 use facile_server::{Endpoint, Server, ServerConfig};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::time::Duration;
 
 fn start(mut cfg_edit: impl FnMut(&mut ServerConfig)) -> Server {
     let mut cfg = ServerConfig::new(Endpoint::Tcp("127.0.0.1:0".to_string()));
     cfg.threads = 2;
-    cfg.gather_window = Duration::from_micros(100);
     cfg_edit(&mut cfg);
     Server::start(cfg).expect("server binds an ephemeral port")
 }
