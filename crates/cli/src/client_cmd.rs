@@ -8,8 +8,8 @@
 //! --format csv` prints.
 
 use facile_engine::render::csv_header;
-use facile_server::json::{self, Kind, Value};
 use facile_uarch::Uarch;
+use facile_util::json::{self, Kind, Value};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 #[cfg(unix)]
@@ -241,7 +241,7 @@ fn parse(args: Vec<String>) -> Result<Option<Options>, String> {
 /// arbitrary bytes from malformed input lines; the server turns those
 /// into error rows, not protocol errors).
 fn jstr(s: &str) -> String {
-    format!("\"{}\"", facile_explain::json_escape(s))
+    format!("\"{}\"", json::escape(s))
 }
 
 fn batch_request(o: &Options, blocks: &[String]) -> String {

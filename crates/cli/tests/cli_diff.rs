@@ -187,19 +187,32 @@ fn generalize_golden_json_on_fixed_seed() {
 }
 
 /// Build the external mock tool (it lives in `facile-bench`, so its
-/// `CARGO_BIN_EXE_*` var is not visible here) and return its path.
+/// `CARGO_BIN_EXE_*` var is not visible here) for the same profile and
+/// target directory as the facile binary under test, and return its path.
 fn mock_predictor() -> std::path::PathBuf {
+    let bin_dir = std::path::Path::new(env!("CARGO_BIN_EXE_facile"))
+        .parent()
+        .expect("the binary sits in a profile directory");
     static BUILD: std::sync::Once = std::sync::Once::new();
     BUILD.call_once(|| {
+        let profile = match bin_dir.file_name().and_then(|n| n.to_str()) {
+            Some("debug") | None => "dev",
+            Some(name) => name,
+        };
+        let target_dir = bin_dir
+            .parent()
+            .expect("profile directories sit in a target directory");
         let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".to_string());
         let status = Command::new(cargo)
             .args(["build", "-p", "facile-bench", "--bin", "mock_predictor"])
+            .args(["--profile", profile])
+            .arg("--target-dir")
+            .arg(target_dir)
             .status()
             .expect("cargo runs");
         assert!(status.success(), "mock_predictor builds");
     });
-    // Same profile directory as the facile binary under test.
-    std::path::Path::new(env!("CARGO_BIN_EXE_facile")).with_file_name("mock_predictor")
+    bin_dir.join("mock_predictor")
 }
 
 #[test]

@@ -216,7 +216,7 @@ impl Facile {
         let c = &self.config;
         let full = detail.wants_evidence();
         let mut components: Vec<ComponentAnalysis> = Vec::with_capacity(7);
-        // Opt-in per-kernel accounting (`--stats`, bench_engine): one
+        // Opt-in per-kernel accounting (`--stats`): one
         // relaxed load when off; timers only run when on.
         let timed = crate::timing::enabled();
         let time = |a: ComponentAnalysis, t0: Option<std::time::Instant>| -> ComponentAnalysis {

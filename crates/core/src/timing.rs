@@ -2,7 +2,7 @@
 //!
 //! When enabled, [`Facile::analyze`](crate::Facile::analyze) records the
 //! duration of every component-kernel invocation into process-wide
-//! relaxed counters, so `--stats` (and `bench_engine`) can report where
+//! relaxed counters, so `--stats` can report where
 //! prediction time goes without a separate `fig4` run. Disabled (the
 //! default), the cost is one relaxed load per kernel call; the timers
 //! themselves only run while enabled, so production throughput is

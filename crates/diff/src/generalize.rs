@@ -26,9 +26,10 @@ use crate::harness::Finding;
 use crate::shrink::DiffPair;
 use facile_bhive::rng::StdRng;
 use facile_engine::Engine;
-use facile_explain::{json_escape, Mode};
+use facile_explain::Mode;
 use facile_isa::vocab;
 use facile_uarch::Uarch;
+use facile_util::json;
 use facile_x86::reg::Width;
 use facile_x86::{Block, Cond, Mem, Mnemonic, Operand, Reg};
 use std::hash::{Hash, Hasher};
@@ -590,9 +591,9 @@ impl InconsistencySummary {
              \"uarchs\":[{}],\"mean_delta\":{:.4},\"max_delta\":{:.4},\"widenings\":{},\
              \"validated\":{},\"representative\":{{\"block\":\"{}\",\"delta\":{:.4}}},\
              \"samples\":[{}]}}",
-            json_escape(&self.pattern),
-            json_escape(&self.a),
-            json_escape(&self.b),
+            json::escape(&self.pattern),
+            json::escape(&self.a),
+            json::escape(&self.b),
             match self.mode {
                 Mode::Unrolled => "tpu",
                 Mode::Loop => "tpl",

@@ -7,8 +7,9 @@ use crate::rel_delta;
 use crate::shrink::{DiffPair, ShrinkResult};
 use facile_bhive::{kernels, BlockStream, Preset};
 use facile_engine::{BatchItem, Engine, PredictError};
-use facile_explain::{json_escape, Explanation, Mode};
+use facile_explain::{Explanation, Mode};
 use facile_uarch::Uarch;
+use facile_util::json;
 use facile_x86::Block;
 use std::fmt;
 use std::sync::Arc;
@@ -190,7 +191,7 @@ impl Finding {
                 .map_or_else(|| "null".to_string(), |e| e.to_json());
             format!(
                 "{{\"predictor\":\"{}\",\"original\":{:.4},\"shrunk\":{:.4},\"explanation\":{expl}}}",
-                json_escape(&s.key),
+                json::escape(&s.key),
                 s.original,
                 s.shrunk,
             )
@@ -200,7 +201,7 @@ impl Finding {
              \"original\":{{\"block\":\"{}\",\"insts\":{},\"delta\":{:.4}}},\
              \"shrunk\":{{\"block\":\"{}\",\"insts\":{},\"delta\":{:.4}}},\
              \"a\":{},\"b\":{}}}",
-            json_escape(&self.source),
+            json::escape(&self.source),
             self.uarch,
             match self.mode {
                 Mode::Unrolled => "tpu",
@@ -292,8 +293,8 @@ impl PairCell {
         format!(
             "{{\"uarch\":\"{}\",\"a\":\"{}\",\"b\":\"{}\",\"compared\":{},\"flagged\":{},\"rate\":{:.4},\"max_delta\":{:.4}}}",
             self.uarch,
-            json_escape(&self.a),
-            json_escape(&self.b),
+            json::escape(&self.a),
+            json::escape(&self.b),
             self.compared,
             self.flagged,
             self.rate(),

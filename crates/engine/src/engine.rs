@@ -437,16 +437,12 @@ impl Engine {
         }
     }
 
-    /// Turn per-kernel wall-clock accounting on or off (process-wide;
-    /// see `facile_core::timing`). Off by default: timing adds two
-    /// clock reads per kernel invocation, which the batch hot path
-    /// doesn't pay unless asked to.
+    /// Turn per-kernel wall-clock accounting of the core kernels on or
+    /// off (process-wide; see `facile_core::timing`). Annotation is not
+    /// timed. Off by default: timing adds two clock reads per kernel
+    /// invocation, which the batch hot path doesn't pay unless asked to.
     pub fn set_kernel_timing(enabled: bool) {
         facile_core::timing::set_enabled(enabled);
-        // The annotation-side passes (table lookup + column build) run
-        // outside the core kernels but report through the same stats
-        // snapshot, so one switch governs both.
-        facile_isa::cols::set_pass_timing(enabled);
     }
 
     /// Drop all cached annotations.

@@ -59,6 +59,7 @@ use crate::registry::PredictorRegistry;
 use facile_core::Mode;
 use facile_faults as faults;
 use facile_uarch::Uarch;
+use facile_util::json::{self, Kind};
 use facile_util::{GlobalBudget, HeapSize, PoisonlessMutex, Shrinkable, SlruCache};
 use std::io::{BufRead, BufReader, Write};
 use std::process::{Child, ChildStdin, Command, Stdio};
@@ -213,170 +214,40 @@ pub struct Reply {
     pub version: Option<String>,
 }
 
-/// Parse one reply line: a flat JSON object with string or number
-/// values. Nested objects/arrays are protocol violations.
+/// Parse one reply line: a flat JSON object with string, number,
+/// boolean or null values. Nested objects/arrays are protocol
+/// violations.
 ///
 /// # Errors
 /// A parse diagnosis (position and expectation) on malformed input.
 pub fn parse_reply(line: &str) -> Result<Reply, String> {
-    let mut p = MiniParser {
-        s: line.as_bytes(),
-        i: 0,
+    let start = line.len() - line.trim_start_matches([' ', '\t', '\r', '\n']).len();
+    if !line[start..].starts_with('{') {
+        return Err(format!("byte {start}: expected '{{'"));
+    }
+    let v = json::parse(line).map_err(|e| format!("byte {}: {}", e.at, e.reason))?;
+    let Kind::Obj(members) = v.kind else {
+        return Err(format!("byte {start}: expected '{{'"));
     };
     let mut reply = Reply::default();
-    p.skip_ws();
-    p.expect(b'{')?;
-    p.skip_ws();
-    if p.peek() == Some(b'}') {
-        p.i += 1;
-    } else {
-        loop {
-            p.skip_ws();
-            let key = p.string()?;
-            p.skip_ws();
-            p.expect(b':')?;
-            p.skip_ws();
-            match p.peek() {
-                Some(b'"') => {
-                    let v = p.string()?;
-                    match key.as_str() {
-                        "error" => reply.error = Some(v),
-                        "version" => reply.version = Some(v),
-                        _ => {}
-                    }
+    for (key, value) in members {
+        match (key.as_str(), value.kind) {
+            ("error", Kind::Str(s)) => reply.error = Some(s),
+            ("version", Kind::Str(s)) => reply.version = Some(s),
+            ("id", Kind::Num(n)) if n >= 0.0 && n.fract() == 0.0 => {
+                #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+                {
+                    reply.id = Some(n as u64);
                 }
-                Some(c) if c == b'-' || c.is_ascii_digit() => {
-                    let v = p.number()?;
-                    match key.as_str() {
-                        "id" if v >= 0.0 && v.fract() == 0.0 => {
-                            #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-                            {
-                                reply.id = Some(v as u64);
-                            }
-                        }
-                        "throughput" => reply.throughput = Some(v),
-                        _ => {}
-                    }
-                }
-                Some(b't') | Some(b'f') | Some(b'n') => p.literal()?,
-                _ => return Err(format!("byte {}: expected a flat value", p.i)),
             }
-            p.skip_ws();
-            match p.peek() {
-                Some(b',') => p.i += 1,
-                Some(b'}') => {
-                    p.i += 1;
-                    break;
-                }
-                _ => return Err(format!("byte {}: expected ',' or '}}'", p.i)),
+            ("throughput", Kind::Num(n)) => reply.throughput = Some(n),
+            (_, Kind::Arr(_) | Kind::Obj(_)) => {
+                return Err(format!("byte {}: expected a flat value", value.span.0));
             }
+            _ => {}
         }
-    }
-    p.skip_ws();
-    if p.i != p.s.len() {
-        return Err(format!("byte {}: trailing bytes after object", p.i));
     }
     Ok(reply)
-}
-
-/// A minimal scanner for the flat reply objects the protocol allows.
-struct MiniParser<'a> {
-    s: &'a [u8],
-    i: usize,
-}
-
-impl MiniParser<'_> {
-    fn peek(&self) -> Option<u8> {
-        self.s.get(self.i).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\r' | b'\n')) {
-            self.i += 1;
-        }
-    }
-
-    fn expect(&mut self, c: u8) -> Result<(), String> {
-        if self.peek() == Some(c) {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(format!("byte {}: expected {:?}", self.i, char::from(c)))
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(format!("byte {}: unterminated string", self.i)),
-                Some(b'"') => {
-                    self.i += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.i += 1;
-                    let esc = self
-                        .peek()
-                        .ok_or_else(|| format!("byte {}: dangling escape", self.i))?;
-                    self.i += 1;
-                    out.push(match esc {
-                        b'"' => '"',
-                        b'\\' => '\\',
-                        b'/' => '/',
-                        b'n' => '\n',
-                        b't' => '\t',
-                        b'r' => '\r',
-                        other => {
-                            return Err(format!(
-                                "byte {}: unsupported escape \\{}",
-                                self.i,
-                                char::from(other)
-                            ))
-                        }
-                    });
-                }
-                Some(c) => {
-                    // Multi-byte UTF-8 sequences pass through verbatim.
-                    let start = self.i;
-                    self.i += 1;
-                    while self.i < self.s.len() && (self.s[self.i] & 0xC0) == 0x80 {
-                        self.i += 1;
-                    }
-                    match std::str::from_utf8(&self.s[start..self.i]) {
-                        Ok(chunk) => out.push_str(chunk),
-                        Err(_) => return Err(format!("byte {start}: invalid UTF-8 ({c:#x})")),
-                    }
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<f64, String> {
-        let start = self.i;
-        if self.peek() == Some(b'-') {
-            self.i += 1;
-        }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            self.i += 1;
-        }
-        std::str::from_utf8(&self.s[start..self.i])
-            .ok()
-            .and_then(|t| t.parse::<f64>().ok())
-            .ok_or_else(|| format!("byte {start}: not a number"))
-    }
-
-    fn literal(&mut self) -> Result<(), String> {
-        for lit in ["true", "false", "null"] {
-            if self.s[self.i..].starts_with(lit.as_bytes()) {
-                self.i += lit.len();
-                return Ok(());
-            }
-        }
-        Err(format!("byte {}: expected true/false/null", self.i))
-    }
 }
 
 /// A live subprocess: pipes plus the reader thread's line channel.
@@ -994,6 +865,13 @@ mod tests {
         assert_eq!(r.version.as_deref(), Some("mock-1"));
         // Unknown fields and literals are tolerated; structure is not.
         assert!(parse_reply("{\"id\":1,\"ok\":true}").is_ok());
+        // Every JSON string escape is accepted: Python's `json.dumps`
+        // writes non-ASCII text as `\uXXXX`, astral characters as
+        // surrogate pairs.
+        let r = parse_reply("{\"id\":1,\"error\":\"caf\\u00e9\"}").unwrap();
+        assert_eq!(r.error.as_deref(), Some("café"));
+        let r = parse_reply("{\"id\":2,\"error\":\"\\ud83d\\ude00 \\b\\f\"}").unwrap();
+        assert_eq!(r.error.as_deref(), Some("😀 \u{8}\u{c}"));
         for bad in [
             "",
             "garbage",

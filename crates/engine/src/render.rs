@@ -9,7 +9,7 @@
 
 use crate::engine::ItemResult;
 use facile_core::Mode;
-use facile_explain::json_escape;
+use facile_util::json;
 use std::fmt::Write as _;
 
 /// CSV field quoting per RFC 4180 (only when needed).
@@ -55,10 +55,10 @@ pub fn row_json(r: &ItemResult) -> String {
     let _ = write!(
         s,
         "{{\"block\":\"{}\",\"uarch\":\"{}\",\"mode\":\"{}\",\"predictor\":\"{}\"",
-        json_escape(&r.block_hex),
+        json::escape(&r.block_hex),
         r.uarch,
         mode_str(r.mode),
-        json_escape(&r.predictor),
+        json::escape(&r.predictor),
     );
     match &r.prediction {
         Ok(p) => {
@@ -77,7 +77,7 @@ pub fn row_json(r: &ItemResult) -> String {
                 s,
                 ",\"status\":\"error\",\"code\":\"{}\",\"error\":\"{}\"}}",
                 e.code(),
-                json_escape(&e.to_string())
+                json::escape(&e.to_string())
             );
         }
     }

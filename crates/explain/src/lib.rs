@@ -43,4 +43,3 @@ pub use explanation::{
     ValueRef,
 };
 pub use model::{Component, Detail, FrontEndPath, Mode};
-pub use render::json_escape;

@@ -7,33 +7,8 @@
 //! and are what the CLI uses for `--explain` in batch mode.
 
 use crate::explanation::{ChainStep, Evidence, Explanation, PortLoad};
+use facile_util::json;
 use std::fmt::Write;
-
-/// Escape a string for inclusion in a JSON string literal. Exported so
-/// every JSON emitter in the workspace (this crate's renderer, the CLI's
-/// row writer) shares one escaping implementation.
-#[must_use]
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    json_escape_into(&mut out, s);
-    out
-}
-
-fn json_escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
 
 /// Emit a finite float as a JSON number (`null` for non-finite values,
 /// which cannot occur for well-formed explanations but must not produce
@@ -53,7 +28,7 @@ fn json_chain(out: &mut String, chain: &[ChainStep]) {
             out.push(',');
         }
         let _ = write!(out, "{{\"inst\":{},\"value\":\"", s.inst);
-        json_escape_into(out, &s.value.to_string());
+        json::escape_into(out, &s.value.to_string());
         out.push_str("\",\"latency\":");
         json_num(out, s.latency);
         let _ = write!(out, ",\"loop_carried\":{}}}", s.loop_carried);

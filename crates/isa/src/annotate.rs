@@ -2,14 +2,13 @@
 //! descriptors and macro-fusion structure for one microarchitecture.
 
 use crate::classify::{describe_fused_pair_with_effects, describe_with_effects, macro_fuses};
-use crate::cols::{self, BlockColumns};
+use crate::cols::BlockColumns;
 use crate::desc::InstrDesc;
 use crate::form::shape_key;
 use crate::tables;
 use facile_uarch::Uarch;
 use facile_x86::{Block, Effects, Inst};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// The descriptor of a macro-fused branch: invisible to the decoders and
 /// the back end (the pair's µops are attributed to the head instruction).
@@ -198,7 +197,6 @@ impl AnnotatedBlock {
     }
 
     fn build(block: Arc<Block>, uarch: Uarch, reference: bool) -> AnnotatedBlock {
-        let t_annotate = cols::timing_enabled().then(Instant::now);
         let cfg = uarch.config();
         let raw = block.insts();
         // Each entry comes paired with the instruction's effects: the
@@ -262,17 +260,10 @@ impl AnnotatedBlock {
                 i += 1;
             }
         }
-        let t_cols = cols::timing_enabled().then(Instant::now);
         let cols = BlockColumns::build(&insts, &effs);
-        if let Some(t) = t_cols {
-            cols::record_columns(t.elapsed());
-        }
         let total_fused = insts.iter().map(|a| u32::from(a.desc().fused_uops)).sum();
         let total_issue = insts.iter().map(|a| u32::from(a.desc().issue_uops)).sum();
         let total_unfused = insts.iter().map(|a| a.desc().unfused_uops() as u32).sum();
-        if let Some(t) = t_annotate {
-            cols::record_annotate(t.elapsed());
-        }
         AnnotatedBlock {
             uarch,
             block,

@@ -22,14 +22,6 @@
 //! chain-extraction path uses, which is what keeps the id-built graph
 //! bit-identical to the reference graph (property-tested in
 //! `facile-core`).
-//!
-//! The module also owns the annotation-pass timing cells ([`set_pass_timing`],
-//! [`annotate_timing`], [`columns_timing`]): annotation runs below the
-//! engine's kernel-timing layer, so the cells live here and the engine
-//! toggles them together with its own.
-
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::time::Duration;
 
 use crate::annotate::AnnotatedInst;
 use facile_uarch::PortMask;
@@ -240,110 +232,6 @@ impl BlockColumns {
     }
 }
 
-// ---------------------------------------------------------------------
-// Annotation-pass timing. Annotation runs below the engine's kernel
-// instrumentation, so the cells live here; the engine toggles them
-// together with the per-prediction kernel cells.
-
-static TIMING: AtomicBool = AtomicBool::new(false);
-
-struct Cell {
-    count: AtomicU64,
-    total_ns: AtomicU64,
-    max_ns: AtomicU64,
-}
-
-impl Cell {
-    const fn new() -> Cell {
-        Cell {
-            count: AtomicU64::new(0),
-            total_ns: AtomicU64::new(0),
-            max_ns: AtomicU64::new(0),
-        }
-    }
-
-    fn record(&self, d: Duration) {
-        let ns = u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.total_ns.fetch_add(ns, Ordering::Relaxed);
-        self.max_ns.fetch_max(ns, Ordering::Relaxed);
-    }
-
-    fn snapshot(&self) -> PassTiming {
-        let count = self.count.load(Ordering::Relaxed);
-        let total_ns = self.total_ns.load(Ordering::Relaxed);
-        let max_ns = self.max_ns.load(Ordering::Relaxed);
-        #[allow(clippy::cast_precision_loss)]
-        PassTiming {
-            count,
-            mean_us: if count == 0 {
-                0.0
-            } else {
-                total_ns as f64 / count as f64 / 1000.0
-            },
-            max_us: max_ns as f64 / 1000.0,
-        }
-    }
-
-    fn reset(&self) {
-        self.count.store(0, Ordering::Relaxed);
-        self.total_ns.store(0, Ordering::Relaxed);
-        self.max_ns.store(0, Ordering::Relaxed);
-    }
-}
-
-/// Whole-annotation pass (decode facts → descriptors → columns).
-static ANNOTATE: Cell = Cell::new();
-/// Column construction alone (a sub-span of the annotation pass).
-static COLUMNS: Cell = Cell::new();
-
-/// Aggregated timing of one annotation-side pass.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PassTiming {
-    /// Number of recorded pass executions (one per annotated block).
-    pub count: u64,
-    /// Mean duration in microseconds.
-    pub mean_us: f64,
-    /// Maximum duration in microseconds.
-    pub max_us: f64,
-}
-
-/// Enable or disable annotation-pass timing (disabled by default; the
-/// instrumentation costs two monotonic-clock reads per annotation).
-pub fn set_pass_timing(enabled: bool) {
-    TIMING.store(enabled, Ordering::Relaxed);
-}
-
-pub(crate) fn timing_enabled() -> bool {
-    TIMING.load(Ordering::Relaxed)
-}
-
-pub(crate) fn record_annotate(d: Duration) {
-    ANNOTATE.record(d);
-}
-
-pub(crate) fn record_columns(d: Duration) {
-    COLUMNS.record(d);
-}
-
-/// Aggregated whole-annotation timing (includes column construction).
-#[must_use]
-pub fn annotate_timing() -> PassTiming {
-    ANNOTATE.snapshot()
-}
-
-/// Aggregated column-construction timing.
-#[must_use]
-pub fn columns_timing() -> PassTiming {
-    COLUMNS.snapshot()
-}
-
-/// Reset the annotation-pass timing cells.
-pub fn reset_pass_timing() {
-    ANNOTATE.reset();
-    COLUMNS.reset();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -422,20 +310,5 @@ mod tests {
         // The stored value is among the produced ids.
         let produced = &c.ids[f.produced.0 as usize..f.produced.1 as usize];
         assert!(produced.contains(&f.stores_id));
-    }
-
-    #[test]
-    fn pass_timing_records_when_enabled() {
-        reset_pass_timing();
-        set_pass_timing(true);
-        let _ = columns(&[(Mnemonic::Add, vec![RAX.into(), RCX.into()])], Uarch::Skl);
-        set_pass_timing(false);
-        let a = annotate_timing();
-        let c = columns_timing();
-        assert!(a.count >= 1);
-        assert!(c.count >= 1);
-        assert!(a.mean_us >= 0.0 && c.max_us >= 0.0);
-        reset_pass_timing();
-        assert_eq!(annotate_timing().count, 0);
     }
 }

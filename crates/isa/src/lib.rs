@@ -37,6 +37,6 @@ pub mod vocab;
 
 pub use annotate::{AnnotatedBlock, AnnotatedInst};
 pub use classify::{describe, describe_fused_pair, macro_fuses};
-pub use cols::{BlockColumns, FlowCol, PassTiming};
+pub use cols::{BlockColumns, FlowCol};
 pub use desc::{InstrDesc, Uop, UopKind};
 pub use tables::{reset_static_table_stats, static_table_stats, StaticTableStats, TABLE_HASH};

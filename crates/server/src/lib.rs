@@ -33,7 +33,8 @@
 
 pub use facile_faults as faults;
 
-pub mod json;
+/// The protocol's JSON parser (the workspace's shared one).
+pub use facile_util::json;
 pub mod protocol;
 pub mod server;
 

@@ -32,12 +32,11 @@
 //! than ignored: a typoed `"modes"` silently falling back to defaults
 //! would be a debugging trap.
 
-use crate::json::{self, Kind, Value};
 use facile_engine::render;
 use facile_engine::{BatchItem, BlockInput, Detail, ItemResult};
-use facile_explain::json_escape;
 use facile_explain::Mode;
 use facile_uarch::Uarch;
+use facile_util::json::{self, Kind, Value};
 
 /// How prediction rows are rendered in the reply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -290,7 +289,7 @@ pub fn error_reply(id: Option<&str>, code: &str, message: &str) -> String {
     format!(
         "{{{}\"ok\":false,\"code\":\"{code}\",\"error\":\"{}\"}}",
         id_field(id),
-        json_escape(message)
+        json::escape(message)
     )
 }
 
@@ -342,7 +341,7 @@ pub fn rows_reply(
             Render::Json => s.push_str(&render::row_json(r)),
             Render::Csv => {
                 s.push('"');
-                s.push_str(&json_escape(&render::row_csv(r, explain)));
+                s.push_str(&json::escape(&render::row_csv(r, explain)));
                 s.push('"');
             }
         }

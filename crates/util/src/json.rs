@@ -1,17 +1,22 @@
-//! A minimal, dependency-free JSON parser for the server protocol.
+//! The workspace's one JSON module: a dependency-free span parser for
+//! reading and the string escaper every JSON writer shares.
 //!
-//! The workspace renders JSON in several places but the server is the
-//! first component that must *read* untrusted JSON (client request
-//! lines), so this module implements the subset of a JSON parser the
-//! protocol needs: full value parsing with source spans, a recursion
-//! depth cap, and typed errors instead of panics on any input.
+//! Three readers use the parser on untrusted text: the server on client
+//! request lines, `facile client` on reply lines, and the external
+//! adapter on a tool's reply lines. It parses full values with source
+//! spans, caps the recursion depth, and returns typed errors instead of
+//! panicking on any input.
 //!
 //! Every parsed [`Value`] remembers its byte span in the input line, so
 //! protocol code can echo a request `id` or forward a nested object
 //! (e.g. a prediction row) *verbatim* — byte-identical to how it
 //! appeared on the wire — without re-serializing it.
+//!
+//! [`escape`] and [`escape_into`] are the writing half: every JSON
+//! emitter in the workspace escapes its strings through them, so all
+//! rows, reports and replies agree on one escaping.
 
-use std::fmt;
+use std::fmt::{self, Write};
 
 /// Maximum nesting depth accepted (arrays/objects). Protocol messages
 /// are nearly flat; the cap exists so a hostile `[[[[…` line errors out
@@ -114,6 +119,32 @@ impl fmt::Display for ParseError {
 }
 
 impl std::error::Error for ParseError {}
+
+/// Escape a string for inclusion in a JSON string literal (without the
+/// surrounding quotes).
+#[must_use]
+pub fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    escape_into(&mut out, s);
+    out
+}
+
+/// Append `s`, escaped for a JSON string literal, to `out`.
+pub fn escape_into(out: &mut String, s: &str) {
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+}
 
 /// Parse one complete JSON value; trailing non-whitespace is an error.
 ///

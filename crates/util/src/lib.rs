@@ -12,6 +12,8 @@
 //!   written entirely in safe Rust: the first `N` elements live on the
 //!   stack and the buffer spills to a heap `Vec` only when it outgrows
 //!   the inline capacity.
+//! * [`json`] — the JSON span parser and string escaper shared by
+//!   every JSON reader and writer in the workspace.
 //! * [`PoisonlessMutex`] — a `Mutex` wrapper that recovers from lock
 //!   poisoning instead of propagating it, so one contained panic cannot
 //!   wedge every later lock acquisition.
@@ -20,6 +22,7 @@
 
 pub mod cache;
 pub mod fxhash;
+pub mod json;
 mod smallvec;
 pub mod sync;
 

@@ -1,11 +1,10 @@
-//! Property tests for the protocol JSON parser's string scanner:
+//! Property tests for the shared JSON parser's string scanner:
 //! escaping any string and parsing it back is the identity (raw
 //! multi-byte UTF-8, control characters, and `\u` escapes, surrogate
 //! pairs included), and errors inside long unescaped runs keep their
 //! exact `ParseError { at, reason }`.
 
-use facile_explain::json_escape;
-use facile_server::json::{parse, ParseError};
+use facile_util::json::{escape, parse, ParseError};
 use proptest::prelude::*;
 
 /// One character from every UTF-8 width, plus the bytes the scanner
@@ -36,11 +35,11 @@ fn u_escape(c: char) -> String {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// `parse("\"" + json_escape(s) + "\"")` returns `s`.
+    /// `parse("\"" + escape(s) + "\"")` returns `s`.
     #[test]
     fn escaped_strings_round_trip(chars in proptest::collection::vec(any_char(), 0..64)) {
         let s: String = chars.into_iter().collect();
-        let line = format!("\"{}\"", json_escape(&s));
+        let line = format!("\"{}\"", escape(&s));
         let v = parse(&line).expect("escaped string parses");
         prop_assert_eq!(v.as_str(), Some(s.as_str()));
         prop_assert_eq!(v.span, (0, line.len()));
@@ -58,7 +57,7 @@ proptest! {
             if as_u {
                 body.push_str(&u_escape(c));
             } else {
-                body.push_str(&json_escape(c.encode_utf8(&mut [0u8; 4])));
+                body.push_str(&escape(c.encode_utf8(&mut [0u8; 4])));
             }
         }
         let line = format!("{{\"{body}\":\"{body}\"}}");
